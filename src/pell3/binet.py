@@ -42,6 +42,8 @@ _EXCLUDED_T = {
     Fraction(-1, 3): "1+3t",
     Fraction(5, 3): "5-3t",
 }
+#: the 90 values sample_points can draw: t in (-1, 1), denominator 2..12, not excluded
+_SAMPLE_T = {Fraction(p, d) for d in range(2, 13) for p in range(1 - d, d)} - _EXCLUDED_T.keys()
 
 
 @dataclass(frozen=True)
@@ -281,16 +283,15 @@ def sample_points(count: int, seed: int) -> list:
 
     Draws distinct small-denominator rationals t in (-1, 1), skipping the
     excluded values, so repeated sweeps with one seed are reproducible and
-    coefficient growth stays bounded.
+    coefficient growth stays bounded.  More than 90 raises ValueError.
     """
+    if count > len(_SAMPLE_T):
+        raise ValueError(f"t-samples must be at most {len(_SAMPLE_T)}, got {count}")
     rng = random.Random(seed)
-    seen = set()
-    points = []
+    points = {}
     while len(points) < count:
         den = rng.randint(2, 12)
         t = Fraction(rng.randint(-(den - 1), den - 1), den)
-        if t in seen or t in _EXCLUDED_T:
-            continue
-        seen.add(t)
-        points.append(substitution_chain(t))
-    return points
+        if t in _SAMPLE_T and t not in points:
+            points[t] = substitution_chain(t)
+    return list(points.values())

@@ -1,9 +1,12 @@
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from pell3.cli import main, plot_rows
+from pell3 import pell
+from pell3.cli import FORMATS, main, plot_rows, render_poly
 from pell3.poly import CompactPell
 
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -201,3 +204,36 @@ def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_t_samples_past_admissible_count_is_usage_error():
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--t-samples", "200"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - t0 < 5
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Python's default int->str digit limit for one test; the limit in force
+    before it is put back afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_render_past_int_str_limit(monkeypatch, capsys, default_int_str_limit):
+    big = 7 * 10**4399  # 4400 digits, past the default limit of 4300
+    poly = CompactPell("r", 4, (big, 1))
+    monkeypatch.setattr(pell, "recurrence_gen", lambda family, n: poly)
+    digits = "7" + "0" * 4399
+    for fmt in FORMATS:
+        code, out = run(capsys, "eval", "--family", "r", "--n", "4", "--format", fmt)
+        assert code == 0
+        assert digits in out
+        assert out.rstrip("\n") == render_poly(poly, fmt).rstrip("\n")

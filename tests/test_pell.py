@@ -1,4 +1,9 @@
+from itertools import islice
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pell3.pell import (
     FAMILIES,
@@ -6,6 +11,7 @@ from pell3.pell import (
     S,
     SIGMA,
     ClosedFormRangeError,
+    _rows,
     by_name,
     closed_form,
     coefficient_triangle,
@@ -117,3 +123,20 @@ def test_family_metadata():
     assert R.binet_targets == (0, 1, 2)
     assert S.binet_targets == (0, 2, 2)
     assert SIGMA.binet_targets == (3, 2, 4)
+
+
+class TestYForm:
+    def test_r_rows_are_bare_binomials(self):
+        for n, row in enumerate(islice(_rows(R), 60)):
+            assert list(row) == [comb(n - 1 - 2 * l, l) for l in range((n - 1) // 3 + 1)], n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_recurrence_equals_closed_form(self, data):
+        family = data.draw(st.sampled_from(list(FAMILIES.values())))
+        n = data.draw(st.integers(family.closed_form_min, 600))
+        assert recurrence_gen(family, n) == closed_form(family, n)
+
+    @pytest.mark.parametrize("family", [S, SIGMA], ids=["s", "sigma"])
+    def test_large_index_agrees(self, family):
+        assert recurrence_gen(family, 3001) == closed_form(family, 3001)
