@@ -16,6 +16,12 @@ B*w2^n + C*w3^n) with family-specific weights A, B, C.  All of this is
 evaluated exactly at rational t: the conjugate pair w2, w3 lives in the
 quadratic extension with W^2 = (1+t)(5-3t), and every identity is checked
 with exact equality, no floating point anywhere.
+
+The weights are solved once per t in that extension (QuadExt).  Powers
+then run on integers: at t = p/q, W = sqrt(D)/q with the integer
+D = (q+p)(5q-3p), so 2q*w2, 2q*w3 = (q+p) -+ sqrt(D) and 2q*w1 = 2(q-p)
+are integer pairs in Z[sqrt(D)], and one denominator (2q)^n is carried
+along instead of a Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from math import comb, lcm
+from typing import Iterator
 
 from .exactnum import IdentityViolationError, QuadExt
 from .pell import Family
@@ -188,6 +196,42 @@ def closed_form_coefficients(family: Family, point: SubstitutionPoint) -> BinetC
     return BinetCoefficients(family.name, a, b, b.conjugate())
 
 
+def _sqrt_d_parts(weight, q: int) -> tuple:
+    """weight = a + b*W as its coefficients (a, b/q) of 1 and sqrt(D)."""
+    if isinstance(weight, QuadExt):
+        return weight.a, weight.b / q
+    return Fraction(weight), Fraction(0)
+
+
+def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
+    """Yield integers (r, w, m) for n = 0, 1, 2, ... with
+
+        a*w1^n + b*w2^n + c*w3^n = (r + w*sqrt(D)) / m,
+
+    where t = p/q, D = (q+p)(5q-3p) and m = den*(2q)^n, den being the
+    common denominator of the weights' coefficients.  The scaled powers
+    (2q*w1)^n, (2q*w2)^n and (2q*w3)^n are advanced each on its own,
+    never one as the conjugate of another, so w = 0 is a real check.
+    """
+    p, q = point.t.numerator, point.t.denominator
+    big_d = (q + p) * (5 * q - 3 * p)
+    parts = [part for weight in (a, b, c) for part in _sqrt_d_parts(weight, q)]
+    den = lcm(*(f.denominator for f in parts))
+    a0, a1, b0, b1, c0, c1 = (f.numerator * (den // f.denominator) for f in parts)
+    s, w1 = q + p, 2 * (q - p)
+    x1, x2, y2, x3, y3, m = 1, 1, 0, 1, 0, den
+    while True:
+        yield (
+            a0 * x1 + b0 * x2 + b1 * y2 * big_d + c0 * x3 + c1 * y3 * big_d,
+            a1 * x1 + b0 * y2 + b1 * x2 + c0 * y3 + c1 * x3,
+            m,
+        )
+        x1 *= w1
+        x2, y2 = x2 * s - y2 * big_d, y2 * s - x2
+        x3, y3 = x3 * s + y3 * big_d, y3 * s + x3
+        m *= 2 * q
+
+
 def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     """Evaluate the Binet combination A*w1^n + B*w2^n + C*w3^n exactly.
 
@@ -198,13 +242,13 @@ def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     co = solve_coefficients(family, point)
-    rt = roots(point)
-    total = co.a * rt.w1**n + co.b * rt.w2**n + co.c * rt.w3**n
-    if total.b != 0:
+    r, w, m = next(islice(binet_numerators(point, co.a, co.b, co.c), n, None))
+    if w:
         raise IdentityViolationError(
-            f"W-part {total.b} did not cancel (family {family.name}, n={n}, t={point.t})"
+            f"W-part {Fraction(w * point.t.denominator, m)} did not cancel "
+            f"(family {family.name}, n={n}, t={point.t})"
         )
-    return total.a
+    return Fraction(r, m)
 
 
 def radical_cancellation(n: int, point: SubstitutionPoint) -> tuple:
@@ -214,15 +258,16 @@ def radical_cancellation(n: int, point: SubstitutionPoint) -> tuple:
     returns (scalar, wpart).  The two addends are full conjugates, so
     wpart is exactly 0 and the scalar is a plain rational in t; the
     independent binomial route to the same scalar is
-    radical_cancellation_binomial.
+    radical_cancellation_binomial.  Both addends are 2^n times a Binet
+    term, (5-3t -+ 3W) w_{2,3}^n, so both come out over q^(n+1).
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     t, d = point.t, point.d
-    left = QuadExt(5 - 3 * t, -3, d) * QuadExt(1 + t, -1, d) ** n
-    right = QuadExt(5 - 3 * t, 3, d) * QuadExt(1 + t, 1, d) ** n
-    total = left + right
-    return total.a, total.b
+    weights = (0, QuadExt(5 - 3 * t, -3, d), QuadExt(5 - 3 * t, 3, d))
+    r, w, m = next(islice(binet_numerators(point, *weights), n, None))
+    scale = Fraction(1 << n, m)
+    return r * scale, w * t.denominator * scale
 
 
 def radical_cancellation_binomial(n: int, t) -> Fraction:
@@ -233,12 +278,15 @@ def radical_cancellation_binomial(n: int, t) -> Fraction:
 
         (5-3t) * [ 2*sum_k C(n,2k) (5-3t)^k (1+t)^(n-k)
                  + 6*sum_k C(n,2k+1) (5-3t)^k (1+t)^(n-k) ].
+
+    At t = p/q the sums run on the integers 5q-3p and q+p, over q^(n+1).
     """
     t = Fraction(t)
-    p5, p1 = 5 - 3 * t, 1 + t
+    p, q = t.numerator, t.denominator
+    p5, p1 = 5 * q - 3 * p, q + p
     even = sum(comb(n, 2 * k) * p5**k * p1 ** (n - k) for k in range(n // 2 + 1))
     odd = sum(comb(n, 2 * k + 1) * p5**k * p1 ** (n - k) for k in range((n + 1) // 2))
-    return p5 * (2 * even + 6 * odd)
+    return Fraction(p5 * (2 * even + 6 * odd), q ** (n + 1))
 
 
 def power_sums(max_n: int) -> tuple:

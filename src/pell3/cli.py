@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -224,7 +225,13 @@ def numeric_demo(family: pell.Family, n_max: int, x: Fraction) -> list:
 def cmd_numeric_demo(args, parser) -> int:
     if args.x == 0:
         parser.error("x must be nonzero")
-    rows = numeric_demo(args.family, args.n_max, args.x)
+    try:
+        rows = numeric_demo(args.family, args.n_max, args.x)
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("pell3 numeric-demo: numpy is not installed; install pell3[demo]", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "plain":
         print(f"{'n':>4} {'exact':>24} {'float-binet':>24} {'rel-err':>12}")
         for row in rows:
@@ -275,7 +282,11 @@ def cmd_bench(args, parser) -> int:
     return EXIT_OK if equal else EXIT_IDENTITY_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse objects reference each
+    other in cycles, so a parser per ``main`` call would leave cyclic garbage
+    behind on every call."""
     parser = argparse.ArgumentParser(
         prog="pell3",
         description="Exact third-order Pell polynomials: generation, Binet "

@@ -14,6 +14,12 @@ terms cancel.
 All of these statements are certified here by exact series arithmetic:
 composition is the oracle for the inversion coefficients, and the closed
 formulas are compared term by term against the expanded series.
+
+The arithmetic runs on integers.  With U = u/2 and zeta = z/8 the map
+becomes zeta = U(1-U)^2, its inverse U(zeta) = sum_n C(3n-2, n-1)/n zeta^n
+has integer coefficients, and the leading term is 2^(n-1) (1-U)^n/(1-3U),
+whose zeta-coefficients are the integers C(3l-n, l).  Results are scaled
+back to z once, when a Fraction or RatSeries is returned.
 """
 
 from __future__ import annotations
@@ -23,14 +29,27 @@ from math import comb
 
 from .exactnum import IdentityViolationError, gen_binomial
 from .pell import R, recurrence_gen
-from .series import RatSeries
+from .series import RatSeries, truncated_product
+
+
+def _zeta_coefficient(n: int) -> int:
+    """Coefficient of zeta^n in U(zeta): C(3n-2, n-1)/n, an integer."""
+    coeff, rem = divmod(comb(3 * n - 2, n - 1), n)
+    if rem:
+        raise IdentityViolationError(f"C(3n-2, n-1) is not divisible by n={n}")
+    return coeff
+
+
+def _zeta_series(order: int) -> list:
+    """U(zeta) through zeta^(order-1), as integers."""
+    return [0] + [_zeta_coefficient(n) for n in range(1, order)]
 
 
 def inversion_coefficient(n: int) -> Fraction:
     """Coefficient of z^n in u(z), from the closed formula; n >= 1."""
     if n < 1:
         raise ValueError(f"coefficient index must be >= 1, got {n}")
-    return Fraction(comb(3 * n - 2, n - 1), n << (3 * n - 1))
+    return Fraction(_zeta_coefficient(n), 1 << (3 * n - 1))
 
 
 def inversion_series(order: int) -> RatSeries:
@@ -46,19 +65,21 @@ def inversion_series(order: int) -> RatSeries:
 def verify_inversion(order: int) -> None:
     """Certify the inversion coefficients by forward composition.
 
-    Substitutes u(z) into u(u-2)^2 = 4u - 4u^2 + u^3 and demands the exact
-    identity series z through z^order.  Raises IdentityViolationError with
-    the first bad index on mismatch.
+    Substitutes U(zeta) into U(1-U)^2 -- the map z = u(u-2)^2 in U = u/2,
+    zeta = z/8 -- and demands the exact identity series zeta through
+    zeta^order.  Raises IdentityViolationError with the first bad index on
+    mismatch.
     """
-    u = inversion_series(order)
-    outer = RatSeries((0, 4, -4, 1), order + 1)
-    composed = outer.compose(u)
-    target = RatSeries.identity(order + 1)
-    for k in range(order + 1):
-        if composed.coefficient(k) != target.coefficient(k):
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    u = _zeta_series(order + 1)
+    one_minus_u = [1] + [-c for c in u[1:]]
+    once = truncated_product(u, one_minus_u, order + 1)
+    composed = truncated_product(once, one_minus_u, order + 1)
+    for k, c in enumerate(composed):
+        if c != (1 if k == 1 else 0):
             raise IdentityViolationError(
-                f"composition disagrees with z first at index {k}: "
-                f"{composed.coefficient(k)}"
+                f"composition disagrees with zeta first at index {k}: {c}"
             )
 
 
@@ -70,27 +91,33 @@ def first_term_coefficient(n: int, l: int) -> Fraction:
 def first_term_series(n: int, order: int) -> RatSeries:
     """Expand -(2-u)^n / (3u-2) in z, checking every coefficient.
 
-    Built from the inversion series with plain series arithmetic, then
-    each coefficient l < order is compared against the closed formula;
-    any mismatch raises IdentityViolationError.
+    Built from the inversion series as 2^(n-1) (1-U)^n / (1-3U) in zeta,
+    with integer series arithmetic; each zeta-coefficient l < order must
+    equal C(3l-n, l), else IdentityViolationError.  The result is scaled
+    back to z, coefficient l times 2^(n-1-3l), once on return.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    u = RatSeries(
-        [Fraction(0)] + [inversion_coefficient(k) for k in range(1, order)],
-        order,
-    )
-    ser = -((2 - u) ** n) * (3 * u - 2).reciprocal()
-    for l in range(order):
-        expect = first_term_coefficient(n, l)
-        if ser.coefficient(l) != expect:
+    u = _zeta_series(order)
+    ser = [1] + [0] * (order - 1)  # 1/(1-3U) = 1 + 3U/(1-3U), term by term
+    for k in range(1, order):
+        ser[k] = 3 * sum(u[i] * ser[k - i] for i in range(1, k + 1))
+    base, e = [1] + [-c for c in u[1:]], n
+    while e:
+        if e & 1:
+            ser = truncated_product(ser, base, order)
+        e >>= 1
+        if e:
+            base = truncated_product(base, base, order)
+    for l, c in enumerate(ser):
+        if c != gen_binomial(3 * l - n, l):
             raise IdentityViolationError(
-                f"series coefficient {l} is {ser.coefficient(l)}, formula gives "
-                f"{expect} (n={n})"
+                f"series coefficient {l} is {Fraction(c << n, 2 << 3 * l)}, formula gives "
+                f"{first_term_coefficient(n, l)} (n={n})"
             )
-    return ser
+    return RatSeries([Fraction(c << n, 2 << 3 * l) for l, c in enumerate(ser)], order)
 
 
 def truncation_bridge(n: int) -> None:

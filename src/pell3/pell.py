@@ -80,8 +80,13 @@ def _rows(family: Family) -> Iterator[Sequence[int]]:
 
 
 def _x_coeffs(family: Family, n: int, row) -> tuple:
-    """Shift each y-coefficient left by its exponent n - delta - 3l."""
-    return tuple(map(lshift, row, range(n - family.delta, -1, -3)))
+    """Shift each y-coefficient left by its exponent n - delta - 3l.
+
+    The tuple is built from a list: one built from an unsized iterator is
+    resized as it grows, which moves tuples between CPython's per-size free
+    lists and lets them pile up, call after call, in a long-lived process.
+    """
+    return tuple(list(map(lshift, row, range(n - family.delta, -1, -3))))
 
 
 def recurrence_gen(family: Family, n: int) -> CompactPell:

@@ -16,6 +16,19 @@ from fractions import Fraction
 DELTA = {"r": 1, "s": 1, "sigma": 0}
 
 
+def _horner(coeffs, x0) -> Fraction:
+    """sum_k coeffs[k] * x0**k at rational x0 = N/M.  Horner runs on
+    integers, scaling coefficient k by M**(deg-k); the one Fraction is
+    built at the end, over M**deg."""
+    x0 = Fraction(x0)
+    num, den = x0.numerator, x0.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return Fraction(acc * den, scale)
+
+
 class DensePoly:
     """Dense polynomial with integer coefficients, stored lowest degree first.
 
@@ -40,12 +53,9 @@ class DensePoly:
             return self.coeffs[exp]
         return 0
 
-    def __call__(self, x0):
+    def __call__(self, x0) -> Fraction:
         """Evaluate by Horner's rule; exact for int or Fraction arguments."""
-        acc = x0 * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        return _horner(self.coeffs, x0)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -123,7 +133,8 @@ class CompactPell:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 0:
             raise ValueError(f"index must be nonnegative, got {self.n}")
-        object.__setattr__(self, "coeffs", tuple(operator.index(c) for c in self.coeffs))
+        # from a list, not a generator: see pell._x_coeffs
+        object.__setattr__(self, "coeffs", tuple([operator.index(c) for c in self.coeffs]))
         if len(self.coeffs) > max(0, (self.n - self.delta) // 3 + 1):
             raise ValueError(
                 f"{len(self.coeffs)} coefficients do not fit family {self.family}, n={self.n}"
@@ -171,11 +182,7 @@ class CompactPell:
         Each stored coefficient contributes c_l * (-z0)**l, so this needs
         no root extraction and stays rational for rational z0.
         """
-        z0 = Fraction(z0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * (-z0) + c
-        return acc
+        return _horner(self.coeffs, -Fraction(z0))
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,6 +13,18 @@ class CompositionError(ValueError):
     """Composition with an inner series of nonzero constant term."""
 
 
+def truncated_product(a, b, order: int) -> list:
+    """Coefficients 0..order-1 of the product of two coefficient sequences;
+    exact for int and Fraction coefficients alike."""
+    out = [0] * order
+    for i, x in enumerate(a[:order]):
+        if x:
+            for j, y in enumerate(b[: order - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
 class RatSeries:
     """A power series truncated at ``order``: coefficients of z^0..z^(order-1).
 
@@ -86,13 +98,7 @@ class RatSeries:
         if not isinstance(other, RatSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        out = [Fraction(0)] * order
-        for i, a in enumerate(self.coeffs[:order]):
-            if a:
-                for j, b in enumerate(other.coeffs[: order - i]):
-                    if b:
-                        out[i + j] += a * b
-        return RatSeries(out, order)
+        return RatSeries(truncated_product(self.coeffs, other.coeffs, order), order)
 
     __rmul__ = __mul__
 

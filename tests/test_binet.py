@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pell3.binet import (
     DegenerateParameterError,
@@ -198,3 +200,19 @@ def test_w_part_cancels_on_a_grid():
         for family in FAMILIES.values():
             for n in range(21):
                 binet_eval(family, n, pt)  # raises IdentityViolationError on failure
+
+
+EXCLUDED_T = {Fraction(1), Fraction(-1), Fraction(-1, 3), Fraction(5, 3)}
+OFF_GRID_T = st.builds(
+    Fraction, st.integers(-3 * 10**4, 3 * 10**4), st.integers(1, 10**4)
+).filter(lambda t: t not in EXCLUDED_T)
+
+
+@settings(deadline=None)
+@given(OFF_GRID_T, st.sampled_from(list(FAMILIES.values())), st.integers(0, 120))
+def test_integer_kernels_off_the_sample_grid(t, family, n):
+    pt = substitution_chain(t)
+    assert binet_eval(family, n, pt) == recurrence_gen(family, n).eval_in_z(pt.z)
+    scalar, wpart = radical_cancellation(n, pt)
+    assert wpart == 0
+    assert scalar == radical_cancellation_binomial(n, t)

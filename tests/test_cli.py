@@ -2,6 +2,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +238,43 @@ def test_render_past_int_str_limit(monkeypatch, capsys, default_int_str_limit):
         assert code == 0
         assert digits in out
         assert out.rstrip("\n") == render_poly(poly, fmt).rstrip("\n")
+
+
+# Golden outputs, captured from the CLI while Binet, xi and series arithmetic
+# still ran over Fraction and QuadExt; the integer kernels must reproduce
+# them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+BINET_CASES = [
+    (family, n, t)
+    for family in ("r", "s", "sigma")
+    for n in (0, 1, 2, 17, 80)
+    for t in ("0", "1/2", "-5/7", "11/12")
+]
+BINET_GOLDEN = (GOLDEN / "binet.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+class TestGoldenOutput:
+    def test_verify_all(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "all", "--seed", "42")
+        assert code == 0
+        assert out == (GOLDEN / "verify_all_seed42.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("case, expected", zip(BINET_CASES, BINET_GOLDEN))
+    def test_binet(self, capsys, case, expected):
+        family, n, t = case
+        code, out = run(capsys, "binet", "--family", family, "--n", str(n), f"--t={t}")
+        assert code == 0
+        assert out == expected
+
+    def test_series(self, capsys):
+        code, out = run(capsys, "series", "--order", "40")
+        assert code == 0
+        assert out == (GOLDEN / "series_order40.json").read_text(encoding="utf-8")
+
+
+def test_numeric_demo_without_numpy_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
+    code = main(["numeric-demo", "--family", "r", "--n-max", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "install pell3[demo]" in err

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from pell3 import lagrange
+from pell3.exactnum import IdentityViolationError
 from pell3.lagrange import (
     first_term_coefficient,
     first_term_series,
@@ -87,3 +89,21 @@ class TestRadius:
     def test_order_bound(self):
         with pytest.raises(ValueError):
             radius_estimate(9)
+
+
+def test_perturbed_inversion_coefficient_is_caught(monkeypatch):
+    # C(7, 2) = 21 -> 24 keeps C(3n-2, n-1)/n integral at n = 3 (7 -> 8)
+    comb = lagrange.comb
+    monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + 3 * ((a, b) == (7, 2)))
+    with pytest.raises(IdentityViolationError, match="index 3"):
+        verify_inversion(8)
+    with pytest.raises(IdentityViolationError, match="coefficient 3"):
+        first_term_series(5, 8)
+
+
+def test_inexact_inversion_division_is_caught(monkeypatch):
+    # C(7, 2) = 21 -> 22 leaves a remainder in C(3n-2, n-1)/n at n = 3
+    comb = lagrange.comb
+    monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + ((a, b) == (7, 2)))
+    with pytest.raises(IdentityViolationError, match="not divisible by n=3"):
+        verify_inversion(8)
