@@ -17,11 +17,12 @@ evaluated exactly at rational t: the conjugate pair w2, w3 lives in the
 quadratic extension with W^2 = (1+t)(5-3t), and every identity is checked
 with exact equality, no floating point anywhere.
 
-The weights are solved once per t in that extension (QuadExt).  Powers
-then run on integers: at t = p/q, W = sqrt(D)/q with the integer
-D = (q+p)(5q-3p), so 2q*w2, 2q*w3 = (q+p) -+ sqrt(D) and 2q*w1 = 2(q-p)
-are integer pairs in Z[sqrt(D)], and one denominator (2q)^n is carried
-along instead of a Fraction per coefficient.
+Both the weights and the powers run on integers: at t = p/q, W = sqrt(D)/q
+with the integer D = (q+p)(5q-3p), so 2q*w2, 2q*w3 = (q+p) -+ sqrt(D) and
+2q*w1 = 2(q-p) are integer pairs in Z[sqrt(D)].  The weights are solved once
+per t by Cramer's rule on those pairs and rationalized once, becoming QuadExt
+values only on return; the powers carry one denominator (2q)^n along instead
+of a Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -127,38 +128,48 @@ def roots(point: SubstitutionPoint) -> RootTriple:
     )
 
 
-def _det3(m) -> QuadExt:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoefficients:
     """Solve the 3x3 system sum_i A_i w_i^n = g_n (n = 0, 1, 2) exactly.
 
     The right-hand side g is the family's z-normalized initial values, so
-    no negative powers of x ever appear.  The Vandermonde determinant is a
-    product of root differences, all invertible away from the excluded t.
+    no negative powers of x ever appear.  Row n is scaled by (2q)^n, which
+    turns the Vandermonde entries into the integer pairs (2q*w_i)^n of
+    Z[sqrt(D)] and leaves the solution unchanged.  Cramer's rule then runs
+    on those pairs, one determinant per weight, and the quotients are
+    rationalized once by the conjugate of the Vandermonde determinant.
+    That determinant is a product of root differences, all invertible
+    away from the excluded t.
     """
-    rt = roots(point)
-    d = point.d
-    one = QuadExt(1, 0, d)
-    w1 = QuadExt(rt.w1, 0, d)
-    cols = (w1, rt.w2, rt.w3)
-    m = [
-        [one, one, one],
-        list(cols),
-        [w * w for w in cols],
-    ]
-    g = [QuadExt(v, 0, d) for v in family.binet_targets]
-    det = _det3(m)
-    out = []
+    p, q = point.t.numerator, point.t.denominator
+    big_d = (q + p) * (5 * q - 3 * p)
+
+    def mul(u, v):
+        return u[0] * v[0] + u[1] * v[1] * big_d, u[0] * v[1] + u[1] * v[0]
+
+    def det3(c0, c1, c2):
+        # triple product c0 . (c1 x c2); each column holds rows n = 0, 1, 2
+        total_x = total_y = 0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            x1, y1 = mul(c1[j], c2[k])
+            x2, y2 = mul(c1[k], c2[j])
+            x, y = mul(c0[i], (x1 - x2, y1 - y2))
+            total_x, total_y = total_x + x, total_y + y
+        return total_x, total_y
+
+    # column i is (1, r_i, r_i^2) for the scaled root r_i = 2q*w_i
+    scaled_roots = ((2 * (q - p), 0), (q + p, -1), (q + p, 1))
+    cols = [((1, 0), root, mul(root, root)) for root in scaled_roots]
+    g = [(v * (2 * q) ** n, 0) for n, v in enumerate(family.binet_targets)]
+    det_x, det_y = det3(*cols)
+    conj, norm = (det_x, -det_y), det_x * det_x - big_d * det_y * det_y
+    weights = []
     for j in range(3):
-        mj = [[g[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]
-        out.append(_det3(mj) / det)
-    return BinetCoefficients(family.name, *out)
+        replaced = cols.copy()
+        replaced[j] = g
+        x, y = mul(det3(*replaced), conj)
+        # x + y*sqrt(D) with sqrt(D) = q*W
+        weights.append(QuadExt(Fraction(x, norm), Fraction(y * q, norm), point.d))
+    return BinetCoefficients(family.name, *weights)
 
 
 def closed_form_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoefficients:
@@ -251,6 +262,21 @@ def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     return Fraction(r, m)
 
 
+def radical_cancellation_numerators(point: SubstitutionPoint) -> Iterator[tuple]:
+    """Yield integers (r, w, m) for n = 0, 1, 2, ... in one pass, with
+    radical_cancellation(n, point) == (r/m, w/m).
+
+    One binet_numerators run with the weights 5-3t -+ 3W drives the whole
+    sweep: its n-th term is the combination over 2^n, and its denominator
+    den*(2q)^n divided by 2^n leaves m = den*q^n, with den dividing q.
+    """
+    t, d = point.t, point.d
+    weights = (0, QuadExt(5 - 3 * t, -3, d), QuadExt(5 - 3 * t, 3, d))
+    q = t.denominator
+    for n, (r, w, m) in enumerate(binet_numerators(point, *weights)):
+        yield r, w * q, m >> n
+
+
 def radical_cancellation(n: int, point: SubstitutionPoint) -> tuple:
     """The conjugate-weighted power sum whose square roots must cancel.
 
@@ -259,15 +285,21 @@ def radical_cancellation(n: int, point: SubstitutionPoint) -> tuple:
     wpart is exactly 0 and the scalar is a plain rational in t; the
     independent binomial route to the same scalar is
     radical_cancellation_binomial.  Both addends are 2^n times a Binet
-    term, (5-3t -+ 3W) w_{2,3}^n, so both come out over q^(n+1).
+    term, (5-3t -+ 3W) w_{2,3}^n, so both come out over q^(n+1).  A sweep
+    over n reads radical_cancellation_numerators once instead.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    t, d = point.t, point.d
-    weights = (0, QuadExt(5 - 3 * t, -3, d), QuadExt(5 - 3 * t, 3, d))
-    r, w, m = next(islice(binet_numerators(point, *weights), n, None))
-    scale = Fraction(1 << n, m)
-    return r * scale, w * t.denominator * scale
+    r, w, m = next(islice(radical_cancellation_numerators(point), n, None))
+    return Fraction(r, m), Fraction(w, m)
+
+
+def radical_binomial_numerator(n: int, p: int, q: int) -> int:
+    """radical_cancellation_binomial(n, p/q) times q^(n+1), an integer."""
+    p5, p1 = 5 * q - 3 * p, q + p
+    even = sum(comb(n, 2 * k) * p5**k * p1 ** (n - k) for k in range(n // 2 + 1))
+    odd = sum(comb(n, 2 * k + 1) * p5**k * p1 ** (n - k) for k in range((n + 1) // 2))
+    return p5 * (2 * even + 6 * odd)
 
 
 def radical_cancellation_binomial(n: int, t) -> Fraction:
@@ -279,14 +311,12 @@ def radical_cancellation_binomial(n: int, t) -> Fraction:
         (5-3t) * [ 2*sum_k C(n,2k) (5-3t)^k (1+t)^(n-k)
                  + 6*sum_k C(n,2k+1) (5-3t)^k (1+t)^(n-k) ].
 
-    At t = p/q the sums run on the integers 5q-3p and q+p, over q^(n+1).
+    At t = p/q the sums run on the integers 5q-3p and q+p, over q^(n+1)
+    (radical_binomial_numerator).
     """
     t = Fraction(t)
     p, q = t.numerator, t.denominator
-    p5, p1 = 5 * q - 3 * p, q + p
-    even = sum(comb(n, 2 * k) * p5**k * p1 ** (n - k) for k in range(n // 2 + 1))
-    odd = sum(comb(n, 2 * k + 1) * p5**k * p1 ** (n - k) for k in range((n + 1) // 2))
-    return Fraction(p5 * (2 * even + 6 * odd), q ** (n + 1))
+    return Fraction(radical_binomial_numerator(n, p, q), q ** (n + 1))
 
 
 def power_sums(max_n: int) -> tuple:

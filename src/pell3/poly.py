@@ -16,17 +16,22 @@ from fractions import Fraction
 DELTA = {"r": 1, "s": 1, "sigma": 0}
 
 
-def _horner(coeffs, x0) -> Fraction:
-    """sum_k coeffs[k] * x0**k at rational x0 = N/M.  Horner runs on
-    integers, scaling coefficient k by M**(deg-k); the one Fraction is
-    built at the end, over M**deg."""
-    x0 = Fraction(x0)
-    num, den = x0.numerator, x0.denominator
+def horner_terms(coeffs, num: int, den: int) -> tuple:
+    """Integers (N, M), unreduced, with sum_k coeffs[k] * (num/den)**k == N/M.
+
+    Horner runs on integers, scaling coefficient k by den**(deg-k), and
+    M is den**(deg+1)."""
     acc, scale = 0, 1
     for c in reversed(coeffs):
         acc = acc * num + c * scale
         scale *= den
-    return Fraction(acc * den, scale)
+    return acc * den, scale
+
+
+def _horner(coeffs, x0) -> Fraction:
+    """sum_k coeffs[k] * x0**k at rational x0, as one Fraction."""
+    x0 = Fraction(x0)
+    return Fraction(*horner_terms(coeffs, x0.numerator, x0.denominator))
 
 
 class DensePoly:

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from . import binet, lagrange
 from .exactnum import IdentityViolationError
-from .pell import FAMILIES, Family, closed_form, coefficient_triangle, recurrence_gen
+from .pell import FAMILIES, Family, closed_form, coefficient_triangle
+from .poly import CompactPell, horner_terms
 
 SUITES = ("closed-form", "binet", "xi", "lagrange", "roots")
 
@@ -74,13 +75,18 @@ def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:
 
 
 def _binet_sweep(family: Family, point, co, report: SuiteReport, polys):
-    """Integer Binet numerators against the z-normalized polynomials."""
+    """Integer Binet numerators against the z-normalized polynomials.
+
+    Each polynomial's value at z is the unreduced Horner pair num/den, so
+    the comparison r/m == num/den is one cross-multiplication of integers.
+    """
+    z = -point.z
     terms = binet.binet_numerators(point, co.a, co.b, co.c)
     for n, (poly, (r, w, m)) in enumerate(zip(polys, terms)):
         if w:
             report.fail(f"{family.name}: W-part nonzero", t=point.t, n=n)
-        value = poly.eval_in_z(point.z)
-        if r * value.denominator != value.numerator * m:
+        num, den = horner_terms(poly.coeffs, z.numerator, z.denominator)
+        if r * den != num * m:
             report.fail(f"{family.name}: Binet value differs from recurrence", t=point.t, n=n)
 
 
@@ -98,7 +104,10 @@ def run_binet(
     )
     points = binet.sample_points(t_samples, seed)
     polys = {
-        family.name: [recurrence_gen(family, n) for n in range(max_n + 1)]
+        family.name: [
+            CompactPell(family.name, n, row)
+            for n, row in enumerate(coefficient_triangle(family, max_n))
+        ]
         for family in FAMILIES.values()
     }
     for point in points:
@@ -129,11 +138,13 @@ def run_xi(
     """Radical cancellation: extension arithmetic vs. binomial double sum."""
     report = SuiteReport("xi", t_samples, max_n)
     for point in binet.sample_points(t_samples, seed):
-        for n in range(max_n + 1):
-            scalar, wpart = binet.radical_cancellation(n, point)
-            if wpart != 0:
+        p, q = point.t.numerator, point.t.denominator
+        terms = binet.radical_cancellation_numerators(point)
+        # the binomial route comes out over q^(n+1): compare r/m with it crosswise
+        for n, (r, w, m) in zip(range(max_n + 1), terms):
+            if w:
                 report.fail("W-part nonzero", t=point.t, n=n)
-            if scalar != binet.radical_cancellation_binomial(n, point.t):
+            if r * q ** (n + 1) != binet.radical_binomial_numerator(n, p, q) * m:
                 report.fail("scalar differs from binomial sum", t=point.t, n=n)
     return report
 
@@ -169,10 +180,13 @@ def run_roots(
                 report.fail(f"v{i} * w{i} != 1", t=t)
         # w3^n = (r + w*sqrt(D)) / m, and sqrt(D) = qW
         w3_powers = binet.binet_numerators(point, 0, 0, 1)
+        p, q = t.numerator, t.denominator
         for n, (r, w, m) in zip(range(max_n + 1), w3_powers):
-            if p_polys[n](t) * m != 2 * r:
+            num, den = horner_terms(p_polys[n].coeffs, p, q)
+            if num * m != 2 * r * den:
                 report.fail("power-sum p_n differs from extension arithmetic", t=t, n=n)
-            if q_polys[n](t) * m != 2 * w * t.denominator:
+            num, den = horner_terms(q_polys[n].coeffs, p, q)
+            if num * m != 2 * w * q * den:
                 report.fail("power-sum q_n differs from extension arithmetic", t=t, n=n)
     return report
 
@@ -226,7 +240,7 @@ def run_suite(
 ) -> list:
     """Run one named suite (or all) and return the list of reports."""
     if name == "all":
-        return [run_suite(s, None, t_samples, seed)[0] for s in SUITES]
+        return [run_suite(s, max_n, t_samples, seed)[0] for s in SUITES]
     if name not in RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)} or all")
     n = DEFAULT_MAX_N[name] if max_n is None else max_n

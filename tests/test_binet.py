@@ -216,3 +216,50 @@ def test_integer_kernels_off_the_sample_grid(t, family, n):
     scalar, wpart = radical_cancellation(n, pt)
     assert wpart == 0
     assert scalar == radical_cancellation_binomial(n, t)
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def quadext_cramer(family, point):
+    """Reference solve: Cramer's rule on the unscaled system, all in QuadExt."""
+    rt = roots(point)
+    one = QuadExt(1, 0, point.d)
+    cols = (QuadExt(rt.w1, 0, point.d), rt.w2, rt.w3)
+    m = [[one, one, one], list(cols), [w * w for w in cols]]
+    g = [QuadExt(v, 0, point.d) for v in family.binet_targets]
+    det = _det3(m)
+    return tuple(
+        _det3([[g[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]) / det
+        for j in range(3)
+    )
+
+
+#: the t values sample_points draws from: denominators 2..12 in (-1, 1)
+SAMPLE_GRID = {Fraction(p, d) for d in range(2, 13) for p in range(1 - d, d)}
+
+
+def assert_solve_matches_reference(t):
+    pt = substitution_chain(t)
+    for family in FAMILIES.values():
+        co = solve_coefficients(family, pt)
+        assert (co.a, co.b, co.c) == quadext_cramer(family, pt)
+
+
+@settings(deadline=None)
+@given(OFF_GRID_T.filter(lambda t: t not in SAMPLE_GRID))
+def test_integer_solve_matches_quadext_cramer(t):
+    assert_solve_matches_reference(t)
+
+
+# D < 0 beyond 5/3, a large denominator, and D = 900 a perfect square
+@pytest.mark.parametrize(
+    "t", [Fraction(7, 3), Fraction(5, 2), Fraction(2), Fraction(-123, 457), Fraction(5, 13)]
+)
+def test_integer_solve_at_chosen_t(t):
+    assert_solve_matches_reference(t)

@@ -5,6 +5,8 @@ import pytest
 from pell3 import binet, verify
 from pell3.binet import BinetCoefficients
 from pell3.exactnum import QuadExt
+from pell3.pell import FAMILIES, coefficient_triangle
+from pell3.poly import CompactPell, horner_terms
 
 
 def checks(report) -> set:
@@ -72,3 +74,72 @@ class TestMutationsAreCaught:
         monkeypatch.setattr(binet, "comb", lambda n, k: comb(n, k) + (k == 1))
         found = checks(verify.run_xi(max_n=6, t_samples=3, seed=42))
         assert found == {"scalar differs from binomial sum"}
+
+
+#: t on and off the sample grid, beyond 5/3 (D < 0) included
+TS = [Fraction(0), Fraction(1, 2), Fraction(-5, 7), Fraction(11, 12), Fraction(7, 3)]
+
+
+def test_suite_all_passes_max_n_to_every_suite():
+    reports = verify.run_suite("all", 12, 2, 7)
+    expected = [verify.run_suite(s, 12, 2, 7)[0] for s in verify.SUITES]
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
+
+
+class TestOnePassXi:
+    @pytest.mark.parametrize("t", TS)
+    def test_matches_per_n_entry_point_and_extension_powers(self, t):
+        point = binet.substitution_chain(t)
+        d = point.d
+        low, high = QuadExt(1 + t, -1, d), QuadExt(1 + t, 1, d)
+        weight_low, weight_high = QuadExt(5 - 3 * t, -3, d), QuadExt(5 - 3 * t, 3, d)
+        terms = binet.radical_cancellation_numerators(point)
+        for n, (r, w, m) in zip(range(51), terms):
+            pair = (Fraction(r, m), Fraction(w, m))
+            assert pair == binet.radical_cancellation(n, point)
+            # reference: the same sum powered in the extension
+            ref = weight_low * low**n + weight_high * high**n
+            assert pair == (ref.a, ref.b)
+
+    def test_w_part_mutation_is_caught(self, monkeypatch):
+        numerators = binet.binet_numerators
+
+        def perturbed(point, a, b, c):
+            for r, w, m in numerators(point, a, b, c):
+                yield r, w + 1, m
+
+        monkeypatch.setattr(binet, "binet_numerators", perturbed)
+        found = checks(verify.run_xi(6, 3, 42))
+        assert "W-part nonzero" in found
+
+
+class TestBinetSweepPolynomials:
+    @pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+    def test_horner_pair_agrees_with_eval_in_z(self, family):
+        rows = coefficient_triangle(family, 80)
+        for t in TS:
+            z = binet.substitution_chain(t).z
+            for n, row in enumerate(rows):
+                poly = CompactPell(family.name, n, row)
+                num, den = horner_terms(poly.coeffs, (-z).numerator, (-z).denominator)
+                value = poly.eval_in_z(z)
+                assert Fraction(num, den) == value
+                assert value == sum(c * (-z) ** l for l, c in enumerate(row))
+
+    def test_perturbed_recurrence_row_is_caught(self, monkeypatch):
+        triangle = verify.coefficient_triangle
+
+        def perturbed(family, max_n):
+            rows = triangle(family, max_n)
+            rows[5] = (rows[5][0] + 1,) + rows[5][1:]
+            return rows
+
+        monkeypatch.setattr(verify, "coefficient_triangle", perturbed)
+        report = verify.run_binet(max_n=6, t_samples=3, seed=42)
+        for family in ("r", "s", "sigma"):
+            bad = [
+                f["n"] for f in report.failures
+                if f["check"] == f"{family}: Binet value differs from recurrence"
+            ]
+            assert bad == [5, 5, 5]
+        assert not any("W-part" in check for check in checks(report))
