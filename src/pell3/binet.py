@@ -246,13 +246,19 @@ def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
 def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     """Evaluate the Binet combination A*w1^n + B*w2^n + C*w3^n exactly.
 
-    The W-part must cancel to exactly zero (IdentityViolationError if it
-    does not); the rational part equals the polynomial's z-normalized
-    value, recurrence_gen(family, n).eval_in_z(point.z).
+    The solved weights must have the Binet structure, A rational and C the
+    conjugate of B, and the W-part must cancel to exactly zero
+    (IdentityViolationError if either fails); the rational part equals
+    the polynomial's z-normalized value,
+    recurrence_gen(family, n).eval_in_z(point.z).
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     co = solve_coefficients(family, point)
+    if not (co.a.is_rational() and co.c == co.b.conjugate()):
+        raise IdentityViolationError(
+            f"solved weights are not A rational, C = conj(B) (family {family.name}, t={point.t})"
+        )
     r, w, m = next(islice(binet_numerators(point, co.a, co.b, co.c), n, None))
     if w:
         raise IdentityViolationError(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import binet, lagrange
 from .exactnum import IdentityViolationError
 from .pell import FAMILIES, Family, closed_form, coefficient_triangle
-from .poly import CompactPell, horner_terms
+from .poly import horner_terms
 
 SUITES = ("closed-form", "binet", "xi", "lagrange", "roots")
 
@@ -74,18 +74,19 @@ def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:
     return report
 
 
-def _binet_sweep(family: Family, point, co, report: SuiteReport, polys):
+def _binet_sweep(family: Family, point, co, report: SuiteReport, rows):
     """Integer Binet numerators against the z-normalized polynomials.
 
-    Each polynomial's value at z is the unreduced Horner pair num/den, so
-    the comparison r/m == num/den is one cross-multiplication of integers.
+    Row n holds p_n's compact coefficients, those of (-z)^l; its value at
+    z is the unreduced Horner pair num/den, so the comparison
+    r/m == num/den is one cross-multiplication of integers.
     """
     z = -point.z
     terms = binet.binet_numerators(point, co.a, co.b, co.c)
-    for n, (poly, (r, w, m)) in enumerate(zip(polys, terms)):
+    for n, (row, (r, w, m)) in enumerate(zip(rows, terms)):
         if w:
             report.fail(f"{family.name}: W-part nonzero", t=point.t, n=n)
-        num, den = horner_terms(poly.coeffs, z.numerator, z.denominator)
+        num, den = horner_terms(row, z.numerator, z.denominator)
         if r * den != num * m:
             report.fail(f"{family.name}: Binet value differs from recurrence", t=point.t, n=n)
 
@@ -103,13 +104,7 @@ def run_binet(
         "both forced by the initial-value solve"
     )
     points = binet.sample_points(t_samples, seed)
-    polys = {
-        family.name: [
-            CompactPell(family.name, n, row)
-            for n, row in enumerate(coefficient_triangle(family, max_n))
-        ]
-        for family in FAMILIES.values()
-    }
+    rows = {family.name: coefficient_triangle(family, max_n) for family in FAMILIES.values()}
     for point in points:
         for family in FAMILIES.values():
             solved = binet.solve_coefficients(family, point)
@@ -126,7 +121,7 @@ def run_binet(
                     )
             if not (solved.a.b == 0 and solved.b == solved.c.conjugate()):
                 report.fail(f"{family.name}: weight structure broken", t=point.t)
-            _binet_sweep(family, point, solved, report, polys[family.name])
+            _binet_sweep(family, point, solved, report, rows[family.name])
     return report
 
 

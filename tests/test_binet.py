@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pell3 import binet
 from pell3.binet import (
+    BinetCoefficients,
     DegenerateParameterError,
     binet_eval,
     char_root_residuals,
@@ -17,7 +19,7 @@ from pell3.binet import (
     solve_coefficients,
     substitution_chain,
 )
-from pell3.exactnum import QuadExt
+from pell3.exactnum import IdentityViolationError, QuadExt
 from pell3.pell import FAMILIES, R, S, SIGMA, recurrence_gen
 from pell3.poly import DensePoly
 
@@ -134,6 +136,18 @@ class TestBinetEval:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             binet_eval(R, -1, POINTS[0])
+
+    def test_broken_weight_structure_raises(self, monkeypatch):
+        # moving W from B to A keeps the n = 0 sum, W-part included, intact
+        def shifted(family, point):
+            co = solve(family, point)
+            w = QuadExt(0, 1, point.d)
+            return BinetCoefficients(family.name, co.a + w, co.b - w, co.c)
+
+        solve = solve_coefficients
+        monkeypatch.setattr(binet, "solve_coefficients", shifted)
+        with pytest.raises(IdentityViolationError, match="conj"):
+            binet_eval(R, 0, POINTS[1])
 
 
 class TestRadicalCancellation:
