@@ -351,14 +351,36 @@ def char_root_residuals(point: SubstitutionPoint) -> dict:
     The v roots go into z*v^3 - 2v + 1, the w roots into w^3 - 2w^2 + z
     (the reciprocal polynomial).  Together with x^3 = -1/z this says each
     x*w_i is a root of the characteristic equation X^3 - 2x*X^2 - 1.
+
+    Each root from roots(point) is cleared to an integer pair
+    (x + y*sqrt(D))/m over one denominator, and the cubic, times the
+    denominator of z, is evaluated on integers by a Horner scheme
+    homogeneous in m; the residuals become QuadExt values only on return.
     """
     rt = roots(point)
-    z, d = point.z, point.d
+    p, q = point.t.numerator, point.t.denominator
+    big_d = (q + p) * (5 * q - 3 * p)
+    zn, zd = point.z.numerator, point.z.denominator
+    v_cubic = (zn, 0, -2 * zd, zd)  # zd * (z*v^3 - 2v + 1)
+    w_cubic = (zd, -2 * zd, 0, zn)  # zd * (w^3 - 2w^2 + z)
     out = {}
-    for name, v in (("v1", QuadExt(rt.v1, 0, d)), ("v2", rt.v2), ("v3", rt.v3)):
-        out[name] = z * v**3 - 2 * v + 1
-    for name, w in (("w1", QuadExt(rt.w1, 0, d)), ("w2", rt.w2), ("w3", rt.w3)):
-        out[name] = w**3 - 2 * w * w + z
+    for name, root, cubic in (
+        ("v1", rt.v1, v_cubic),
+        ("v2", rt.v2, v_cubic),
+        ("v3", rt.v3, v_cubic),
+        ("w1", rt.w1, w_cubic),
+        ("w2", rt.w2, w_cubic),
+        ("w3", rt.w3, w_cubic),
+    ):
+        a, b = _sqrt_d_parts(root, q)
+        m = lcm(a.denominator, b.denominator)
+        x, y = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
+        rx, ry, scale = cubic[0], 0, 1
+        for c in cubic[1:]:
+            scale *= m
+            rx, ry = rx * x + ry * y * big_d + c * scale, rx * y + ry * x
+        # (rx + ry*sqrt(D)) / (zd * m^3), with sqrt(D) = qW
+        out[name] = QuadExt(Fraction(rx, zd * scale), Fraction(ry * q, zd * scale), point.d)
     return out
 
 

@@ -25,7 +25,9 @@ back to z once, when a Fraction or RatSeries is returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
+from typing import Iterator
 
 from .exactnum import IdentityViolationError, gen_binomial
 from .pell import R, recurrence_gen
@@ -88,36 +90,68 @@ def first_term_coefficient(n: int, l: int) -> Fraction:
     return Fraction(2) ** (n - 3 * l - 1) * gen_binomial(3 * l - n, l)
 
 
-def first_term_series(n: int, order: int) -> RatSeries:
-    """Expand -(2-u)^n / (3u-2) in z, checking every coefficient.
+def first_term_numerators(order: int) -> Iterator[list]:
+    """Yield the zeta-coefficients 0..order-1 of (1-U)^n / (1-3U) as
+    integers, for n = 0, 1, 2, ...
 
-    Built from the inversion series as 2^(n-1) (1-U)^n / (1-3U) in zeta,
-    with integer series arithmetic; each zeta-coefficient l < order must
-    equal C(3l-n, l), else IdentityViolationError.  The result is scaled
-    back to z, coefficient l times 2^(n-1-3l), once on return.
+    U(zeta) and 1/(1-3U) are built once; each next n is one truncated
+    product by (1-U).  Nothing here reads the closed formula C(3l-n, l) or
+    the recurrence: check_first_term and check_bridge compare against them.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     u = _zeta_series(order)
     ser = [1] + [0] * (order - 1)  # 1/(1-3U) = 1 + 3U/(1-3U), term by term
     for k in range(1, order):
         ser[k] = 3 * sum(u[i] * ser[k - i] for i in range(1, k + 1))
-    base, e = [1] + [-c for c in u[1:]], n
-    while e:
-        if e & 1:
-            ser = truncated_product(ser, base, order)
-        e >>= 1
-        if e:
-            base = truncated_product(base, base, order)
-    for l, c in enumerate(ser):
+    one_minus_u = [1] + [-c for c in u[1:]]
+    while True:
+        yield ser
+        ser = truncated_product(ser, one_minus_u, order)
+
+
+def check_first_term(n: int, coeffs) -> None:
+    """Each given zeta-coefficient l of (1-U)^n/(1-3U) must equal
+    C(3l-n, l), else IdentityViolationError naming the first bad l."""
+    for l, c in enumerate(coeffs):
         if c != gen_binomial(3 * l - n, l):
             raise IdentityViolationError(
                 f"series coefficient {l} is {Fraction(c << n, 2 << 3 * l)}, formula gives "
                 f"{first_term_coefficient(n, l)} (n={n})"
             )
-    return RatSeries([Fraction(c << n, 2 << 3 * l) for l, c in enumerate(ser)], order)
+
+
+def check_bridge(n: int, coeffs, row) -> None:
+    """The sign-mapped prefix of the leading-term expansion must be r_n.
+
+    For 0 <= l <= (n-1)/3, zeta-coefficient l of (1-U)^n/(1-3U) must equal
+    C(3l-n, l), and (-1)^l times its z-scaled value 2^(n-1-3l) C(3l-n, l)
+    must equal compact coefficient l of r_n, given as row; else
+    IdentityViolationError.
+    """
+    prefix = coeffs[: (n - 1) // 3 + 1]
+    check_first_term(n, prefix)
+    mapped = [(-1) ** l * (c << (n - 1 - 3 * l)) for l, c in enumerate(prefix)]
+    if mapped != list(row):
+        raise IdentityViolationError(
+            f"sign-mapped prefix {mapped} differs from r_{n} coefficients {list(row)}"
+        )
+
+
+def first_term_series(n: int, order: int) -> RatSeries:
+    """Expand -(2-u)^n / (3u-2) in z, checking every coefficient.
+
+    The n-th term of first_term_numerators(order), 2^(n-1) (1-U)^n / (1-3U)
+    in zeta; each zeta-coefficient l < order must equal C(3l-n, l), else
+    IdentityViolationError.  The result is scaled back to z, coefficient l
+    times 2^(n-1-3l), once on return.  A sweep over n reads
+    first_term_numerators once instead.
+    """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    coeffs = next(islice(first_term_numerators(order), n, None))
+    check_first_term(n, coeffs)
+    return RatSeries([Fraction(c << n, 2 << 3 * l) for l, c in enumerate(coeffs)], order)
 
 
 def truncation_bridge(n: int) -> None:
@@ -129,14 +163,8 @@ def truncation_bridge(n: int) -> None:
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    lmax = (n - 1) // 3
-    ser = first_term_series(n, lmax + 1)
-    prefix = [(-1) ** l * ser.coefficient(l) for l in range(lmax + 1)]
-    poly = recurrence_gen(R, n)
-    if prefix != list(poly.coeffs):
-        raise IdentityViolationError(
-            f"sign-mapped prefix {prefix} differs from r_{n} coefficients {list(poly.coeffs)}"
-        )
+    coeffs = next(islice(first_term_numerators((n - 1) // 3 + 1), n, None))
+    check_bridge(n, coeffs, recurrence_gen(R, n).coeffs)
 
 
 def radius_estimate(order: int) -> Fraction:

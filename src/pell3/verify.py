@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import binet, lagrange
 from .exactnum import IdentityViolationError
-from .pell import FAMILIES, Family, closed_form, coefficient_triangle
+from .pell import FAMILIES, R, Family, closed_form, coefficient_triangle
 from .poly import horner_terms
 
 SUITES = ("closed-form", "binet", "xi", "lagrange", "roots")
@@ -23,7 +23,7 @@ DEFAULT_MAX_N = {
     "closed-form": 300,
     "binet": 80,
     "xi": 50,
-    "lagrange": 64,
+    "lagrange": 100,
     "roots": 40,
 }
 
@@ -188,27 +188,44 @@ def run_roots(
 
 def run_lagrange(
     order: int = DEFAULT_MAX_N["lagrange"],
-    first_term_max_n: int = 24,
+    first_term_max_n: int | None = None,
     first_term_order: int = 33,
-    bridge_max_n: int = 100,
+    bridge_max_n: int | None = None,
     radius_order: int = 60,
 ) -> SuiteReport:
-    """Inversion oracle, leading-term expansion, bridge, and radius ratio."""
-    report = SuiteReport("lagrange", 0, max(order, bridge_max_n))
+    """Inversion oracle, leading-term expansion, bridge, and radius ratio.
+
+    The expansion runs for n <= first_term_max_n (default min(24, order))
+    and the bridge for 1 <= n <= bridge_max_n (default order), both from
+    one pass of lagrange.first_term_numerators; the bridge compares with
+    the rows of one coefficient_triangle of r.
+    """
+    if first_term_max_n is None:
+        first_term_max_n = min(24, order)
+    if bridge_max_n is None:
+        bridge_max_n = order
+    report = SuiteReport("lagrange", 0, max(order, first_term_max_n, bridge_max_n))
     try:
         lagrange.verify_inversion(order)
     except IdentityViolationError as exc:
         report.fail(f"inversion: {exc}", n=order)
-    for n in range(first_term_max_n + 1):
-        try:
-            lagrange.first_term_series(n, first_term_order)
-        except IdentityViolationError as exc:
-            report.fail(f"first-term expansion: {exc}", n=n)
-    for n in range(1, bridge_max_n + 1):
-        try:
-            lagrange.truncation_bridge(n)
-        except IdentityViolationError as exc:
-            report.fail(f"bridge: {exc}", n=n)
+    rows = coefficient_triangle(R, bridge_max_n)
+    width = max(first_term_order, (bridge_max_n - 1) // 3 + 1)
+    series = lagrange.first_term_numerators(width)
+    bridge_failures = []
+    for n, coeffs in zip(range(max(first_term_max_n, bridge_max_n) + 1), series):
+        if n <= first_term_max_n:
+            try:
+                lagrange.check_first_term(n, coeffs[:first_term_order])
+            except IdentityViolationError as exc:
+                report.fail(f"first-term expansion: {exc}", n=n)
+        if 1 <= n <= bridge_max_n:
+            try:
+                lagrange.check_bridge(n, coeffs, rows[n])
+            except IdentityViolationError as exc:
+                bridge_failures.append((f"bridge: {exc}", n))
+    for check, n in bridge_failures:
+        report.fail(check, n=n)
     ratio = lagrange.radius_estimate(radius_order)
     if abs(ratio - Fraction(27, 32)) > Fraction(5, 100):
         report.fail(f"radius ratio {ratio} too far from 27/32", n=radius_order)

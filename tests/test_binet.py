@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pell3 import binet
+from pell3 import binet, verify
 from pell3.binet import (
     BinetCoefficients,
     DegenerateParameterError,
@@ -277,3 +278,56 @@ def test_integer_solve_matches_quadext_cramer(t):
 )
 def test_integer_solve_at_chosen_t(t):
     assert_solve_matches_reference(t)
+
+
+def quadext_residuals(point, rt):
+    """Reference: both cubics evaluated on the roots rt in QuadExt."""
+    z, d = point.z, point.d
+    out = {}
+    for name, v in (("v1", QuadExt(rt.v1, 0, d)), ("v2", rt.v2), ("v3", rt.v3)):
+        out[name] = z * v**3 - 2 * v + 1
+    for name, w in (("w1", QuadExt(rt.w1, 0, d)), ("w2", rt.w2), ("w3", rt.w3)):
+        out[name] = w**3 - 2 * w * w + z
+    return out
+
+
+def shifted_roots(point, w2_shift, v1_shift=0):
+    """roots(point) with w2's W-part moved by w2_shift and v1 by v1_shift."""
+    rt = roots(point)
+    return replace(rt, w2=rt.w2 + QuadExt(0, w2_shift, point.d), v1=rt.v1 + v1_shift)
+
+
+@settings(deadline=None)
+@given(
+    OFF_GRID_T.filter(lambda t: t not in SAMPLE_GRID),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+)
+def test_integer_residuals_match_quadext_reference(t, shift):
+    pt = substitution_chain(t)
+    residuals = char_root_residuals(pt)
+    assert residuals == quadext_residuals(pt, roots(pt))
+    assert all(res == 0 for res in residuals.values())
+    # off the roots the residuals are nonzero, and must still agree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binet, "roots", lambda point: shifted_roots(point, shift, shift))
+        assert char_root_residuals(pt) == quadext_residuals(pt, shifted_roots(pt, shift, shift))
+
+
+# D < 0 beyond 5/3, a large denominator, and D = 900 a perfect square
+@pytest.mark.parametrize(
+    "t", [Fraction(7, 3), Fraction(5, 2), Fraction(2), Fraction(-123, 457), Fraction(5, 13)]
+)
+def test_integer_residuals_at_chosen_t(t):
+    pt = substitution_chain(t)
+    residuals = char_root_residuals(pt)
+    assert residuals == quadext_residuals(pt, roots(pt))
+    assert all(res == 0 for res in residuals.values())
+
+
+def test_root_off_by_a_seventh_leaves_a_residual(monkeypatch):
+    monkeypatch.setattr(binet, "roots", lambda point: shifted_roots(point, Fraction(1, 7)))
+    residuals = char_root_residuals(POINTS[1])
+    assert residuals["w2"] != 0
+    assert residuals == quadext_residuals(POINTS[1], shifted_roots(POINTS[1], Fraction(1, 7)))
+    found = {f["check"] for f in verify.run_roots(6, 3, 42).failures}
+    assert {check for check in found if "residual" in check} == {"root w2 residual nonzero"}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb as binomial
 
 import pytest
 
@@ -6,6 +7,7 @@ from pell3 import lagrange
 from pell3.exactnum import IdentityViolationError
 from pell3.lagrange import (
     first_term_coefficient,
+    first_term_numerators,
     first_term_series,
     inversion_coefficient,
     inversion_series,
@@ -14,6 +16,7 @@ from pell3.lagrange import (
     verify_inversion,
 )
 from pell3.pell import R, recurrence_gen
+from pell3.series import truncated_product
 
 
 class TestInversionSeries:
@@ -107,3 +110,35 @@ def test_inexact_inversion_division_is_caught(monkeypatch):
     monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + ((a, b) == (7, 2)))
     with pytest.raises(IdentityViolationError, match="not divisible by n=3"):
         verify_inversion(8)
+
+
+def first_term_by_squaring(n: int, order: int) -> list:
+    """Reference: zeta-coefficients of (1-U)^n / (1-3U), powering (1-U) by squaring."""
+    u = [0] + [binomial(3 * k - 2, k - 1) // k for k in range(1, order)]
+    ser = [1] + [0] * (order - 1)
+    for k in range(1, order):
+        ser[k] = 3 * sum(u[i] * ser[k - i] for i in range(1, k + 1))
+    base, e = [1] + [-c for c in u[1:]], n
+    while e:
+        if e & 1:
+            ser = truncated_product(ser, base, order)
+        e >>= 1
+        if e:
+            base = truncated_product(base, base, order)
+    return ser
+
+
+@pytest.mark.parametrize("width", [1, 8, 34])
+def test_one_pass_series_matches_powering_by_squaring(width):
+    for n, coeffs in zip(range(41), first_term_numerators(width)):
+        expected = first_term_by_squaring(n, width)
+        assert coeffs == expected
+        scaled = [Fraction(c << n, 2 << 3 * l) for l, c in enumerate(expected)]
+        assert list(first_term_series(n, width).coeffs) == scaled
+
+
+def test_one_pass_series_order_bound():
+    with pytest.raises(ValueError):
+        next(first_term_numerators(0))
+    with pytest.raises(ValueError):
+        first_term_series(3, 0)

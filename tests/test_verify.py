@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pell3 import binet, verify
+from pell3 import binet, lagrange, verify
 from pell3.binet import BinetCoefficients
 from pell3.exactnum import QuadExt
 from pell3.pell import FAMILIES, coefficient_triangle
@@ -143,3 +143,51 @@ class TestBinetSweepPolynomials:
             ]
             assert bad == [5, 5, 5]
         assert not any("W-part" in check for check in checks(report))
+
+
+class TestLagrangeSuite:
+    def test_default_depth_is_one_hundred(self):
+        report = verify.run_lagrange()
+        assert report.max_n == 100
+        assert report.to_dict() == verify.run_suite("lagrange")[0].to_dict()
+        assert report.ok
+
+    @pytest.mark.parametrize("max_n", [1, 12, 40])
+    def test_max_n_bounds_every_loop(self, monkeypatch, max_n):
+        seen = {"check_first_term": [], "check_bridge": []}
+        for name, calls in seen.items():
+
+            def spy(n, *args, _check=getattr(lagrange, name), _calls=calls):
+                _calls.append(n)
+                return _check(n, *args)
+
+            monkeypatch.setattr(lagrange, name, spy)
+        [report] = verify.run_suite("lagrange", max_n)
+        assert report.ok and report.max_n == max_n
+        # check_bridge checks its prefix through check_first_term as well
+        assert set(seen["check_first_term"]) == set(range(max_n + 1))
+        assert seen["check_bridge"] == list(range(1, max_n + 1))
+
+    def test_perturbed_triangle_row_fails_the_bridge_once(self, monkeypatch):
+        triangle = verify.coefficient_triangle
+
+        def perturbed(family, max_n):
+            rows = triangle(family, max_n)
+            rows[37] = (rows[37][0] + 1,) + rows[37][1:]
+            return rows
+
+        monkeypatch.setattr(verify, "coefficient_triangle", perturbed)
+        report = verify.run_lagrange()
+        assert [(f["n"], f["check"].split(":")[0]) for f in report.failures] == [(37, "bridge")]
+        assert "differs from r_37 coefficients" in report.failures[0]["check"]
+
+    def test_perturbed_inversion_coefficient_fails_the_first_term_check(self, monkeypatch):
+        # C(7, 2) = 21 -> 24 keeps C(3n-2, n-1)/n integral at n = 3 (7 -> 8)
+        comb = lagrange.comb
+        monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + 3 * ((a, b) == (7, 2)))
+        report = verify.run_lagrange(order=30)
+        first_term = [f for f in report.failures if f["check"].startswith("first-term")]
+        assert [f["n"] for f in first_term] == list(range(25))
+        # U's coefficient 3 reaches every n; at n = 3 the first casualty is l = 4
+        assert all("series coefficient" in f["check"] for f in first_term)
+        assert "series coefficient 3 " in first_term[5]["check"]
