@@ -62,16 +62,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _seed_from_env(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("PELL3_SEED")
-    if raw is None:
-        return verify.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"PELL3_SEED is not an integer: {raw!r}")
-
-
 def _csv_lines(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -91,13 +81,13 @@ def render_poly(poly: CompactPell, fmt: str) -> str:
     return json.dumps(poly.to_json_dict())
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, parser) -> int:
     text = render_poly(pell.recurrence_gen(args.family, args.n), args.format)
     print(text, end="" if text.endswith("\n") else "\n")
     return EXIT_OK
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args, parser) -> int:
     poly = pell.recurrence_gen(args.family, args.n)
     coeffs = [str(c) for c in poly.coeffs]
     if args.format == "plain":
@@ -109,7 +99,7 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def cmd_triangle(args) -> int:
+def cmd_triangle(args, parser) -> int:
     if args.format == "csv":
         print(pell.triangle_csv(args.family, args.max_n), end="")
     elif args.format == "plain":
@@ -124,7 +114,7 @@ def cmd_triangle(args) -> int:
     return EXIT_OK
 
 
-def cmd_series(args) -> int:
+def cmd_series(args, parser) -> int:
     coeffs = [str(lagrange.inversion_coefficient(n)) for n in range(1, args.order + 1)]
     if args.format == "plain":
         print("\n".join(coeffs))
@@ -136,6 +126,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.seed is None:
+        raw = os.environ.get("PELL3_SEED", str(verify.DEFAULT_SEED))
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            parser.error(f"PELL3_SEED is not an integer: {raw!r}")
     try:
         reports = verify.run_suite(args.suite, args.max_n, args.t_samples, args.seed)
     except ValueError as exc:
@@ -177,12 +173,24 @@ def plot_rows(lo: Fraction, hi: Fraction, steps: int) -> list:
     ]
 
 
-def cmd_plot_data(args) -> int:
-    rows = plot_rows(args.lo, args.hi, args.steps)
+def _float_range_error(command: str, hint: str) -> int:
+    print(f"pell3 {command}: values leave float range; {hint}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def cmd_plot_data(args, parser) -> int:
+    if args.lo >= args.hi:
+        parser.error("--from must be less than --to")
+    if args.steps < 2:
+        parser.error("--steps must be at least 2")
+    try:
+        rows = [(float(u), float(z)) for u, z in plot_rows(args.lo, args.hi, args.steps)]
+    except OverflowError:
+        return _float_range_error("plot-data", "narrow --from/--to")
     if args.format == "json":
-        print(json.dumps([{"u": float(u), "z": float(z)} for u, z in rows]))
+        print(json.dumps([{"u": u, "z": z} for u, z in rows]))
     else:
-        print(_csv_lines(["u", "z"], [[repr(float(u)), repr(float(z))] for u, z in rows]), end="")
+        print(_csv_lines(["u", "z"], [[repr(u), repr(z)] for u, z in rows]), end="")
     return EXIT_OK
 
 
@@ -201,24 +209,25 @@ def numeric_demo(family: pell.Family, n_max: int, x: Fraction) -> list:
     solver, fits the three weights to the initial values by a 3x3 linear
     solve, and compares against the exact recurrence values.  Errors are
     relative, guarded by max(1, |exact|) so zero terms stay well-defined.
+    Raises OverflowError, or numpy's FloatingPointError, once a value
+    leaves float range.
     """
     import numpy as np
 
-    xf = float(x)
-    roots = np.roots([1.0, -2.0 * xf, 0.0, -1.0])
-    vander = np.vstack([roots**n for n in range(3)]).astype(complex)
     seeds = [p.to_dense()(x) for p in (pell.recurrence_gen(family, n) for n in range(3))]
-    weights = np.linalg.solve(vander, np.array([float(v) for v in seeds], dtype=complex))
-
     exact = list(seeds)
     for n in range(3, n_max + 1):
         exact.append(2 * x * exact[n - 1] + exact[n - 3])
 
-    rows = []
-    for n in range(n_max + 1):
-        approx = (weights * roots**n).sum().real
-        err = abs(approx - float(exact[n])) / max(1.0, abs(float(exact[n])))
-        rows.append(DemoRow(n, exact[n], approx, err))
+    with np.errstate(over="raise", invalid="raise"):
+        roots = np.roots([1.0, -2.0 * np.float64(x), 0.0, -1.0])
+        vander = np.vstack([roots**n for n in range(3)]).astype(complex)
+        weights = np.linalg.solve(vander, np.array([float(v) for v in seeds], dtype=complex))
+        rows = []
+        for n in range(n_max + 1):
+            approx = (weights * roots**n).sum().real
+            err = abs(approx - float(exact[n])) / max(1.0, abs(float(exact[n])))
+            rows.append(DemoRow(n, exact[n], approx, err))
     return rows
 
 
@@ -232,6 +241,8 @@ def cmd_numeric_demo(args, parser) -> int:
             raise
         print("pell3 numeric-demo: numpy is not installed; install pell3[demo]", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, FloatingPointError):
+        return _float_range_error("numeric-demo", "lower --n-max or |x|")
     if args.format == "plain":
         print(f"{'n':>4} {'exact':>24} {'float-binet':>24} {'rel-err':>12}")
         for row in rows:
@@ -294,53 +305,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     def add_format(p, default="json"):
         p.add_argument("--format", choices=FORMATS, default=default)
 
-    p = sub.add_parser("eval", help="print a family polynomial")
+    p = command("eval", cmd_eval, "print a family polynomial")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
     add_format(p)
 
-    p = sub.add_parser("coeffs", help="print compact coefficients")
+    p = command("coeffs", cmd_coeffs, "print compact coefficients")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
     add_format(p)
 
-    p = sub.add_parser("triangle", help="coefficient triangle rows 0..max-n")
+    p = command("triangle", cmd_triangle, "coefficient triangle rows 0..max-n")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--max-n", type=_nonneg, required=True)
     add_format(p)
 
-    p = sub.add_parser("series", help="inversion series coefficients")
+    p = command("series", cmd_series, "inversion series coefficients")
     p.add_argument("--order", type=_positive, required=True)
     add_format(p)
 
-    p = sub.add_parser("verify", help="run identity verification suites")
+    p = command("verify", cmd_verify, "run identity verification suites")
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--max-n", type=_nonneg, default=None)
     p.add_argument("--t-samples", type=_positive, default=verify.DEFAULT_T_SAMPLES)
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("binet", help="evaluate one Binet combination exactly")
+    p = command("binet", cmd_binet, "evaluate one Binet combination exactly")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--t", type=_rational, required=True)
 
-    p = sub.add_parser("plot-data", help="samples of z = u(u-2)^2")
+    p = command("plot-data", cmd_plot_data, "samples of z = u(u-2)^2")
     p.add_argument("--curve", choices=("z-of-u",), default="z-of-u")
     p.add_argument("--from", dest="lo", type=_rational, required=True)
     p.add_argument("--to", dest="hi", type=_rational, required=True)
     p.add_argument("--steps", type=_positive, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("numeric-demo", help="float Binet vs exact recurrence")
+    p = command("numeric-demo", cmd_numeric_demo, "float Binet vs exact recurrence")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n-max", type=_nonneg, default=40)
     p.add_argument("--x", type=_rational, default=Fraction(1))
     add_format(p)
 
-    p = sub.add_parser("bench", help="time recurrence vs closed form")
+    p = command("bench", cmd_bench, "time recurrence vs closed form")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n", type=_positive, required=True)
 
@@ -352,29 +368,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "plot-data":
-        if args.lo >= args.hi:
-            parser.error("--from must be less than --to")
-        if args.steps < 2:
-            parser.error("--steps must be at least 2")
-        return cmd_plot_data(args)
-    if args.command == "verify":
-        if args.seed is None:
-            args.seed = _seed_from_env(parser)
-        return cmd_verify(args, parser)
-    if args.command == "eval":
-        return cmd_eval(args)
-    if args.command == "coeffs":
-        return cmd_coeffs(args)
-    if args.command == "triangle":
-        return cmd_triangle(args)
-    if args.command == "series":
-        return cmd_series(args)
-    if args.command == "binet":
-        return cmd_binet(args, parser)
-    if args.command == "numeric-demo":
-        return cmd_numeric_demo(args, parser)
-    return cmd_bench(args, parser)
+    return args.func(args, parser)
 
 
 if __name__ == "__main__":

@@ -53,11 +53,6 @@ class DensePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, exp: int) -> int:
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
-        return 0
-
     def __call__(self, x0) -> Fraction:
         """Evaluate by Horner's rule; exact for int or Fraction arguments."""
         return _horner(self.coeffs, x0)
@@ -159,27 +154,6 @@ class CompactPell:
         for l, c in enumerate(self.coeffs):
             out[self.exponent(l)] = c
         return DensePoly(out)
-
-    @classmethod
-    def from_dense(cls, dense: DensePoly, family: str, n: int) -> "CompactPell":
-        """Inverse of ``to_dense``; rejects coefficients off the 3-step grid."""
-        delta = DELTA[family]
-        if not dense.coeffs:
-            return cls(family, n, ())
-        if dense.degree > n - delta:
-            raise ValueError(f"degree {dense.degree} exceeds n - delta = {n - delta}")
-        out = []
-        seen = 0
-        for l in range(0, (n - delta) // 3 + 1):
-            c = dense.coefficient(n - delta - 3 * l)
-            if c:
-                seen += 1
-            out.append(c)
-        if seen != sum(1 for c in dense.coeffs if c):
-            raise ValueError("polynomial has terms off the lacunary exponent grid")
-        while out and out[-1] == 0:
-            out.pop()
-        return cls(family, n, tuple(out))
 
     def eval_in_z(self, z0) -> Fraction:
         """Value of p(x) / x**(n-delta) after substituting x**-3 = -z0.

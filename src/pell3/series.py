@@ -45,22 +45,10 @@ class RatSeries:
         self.coeffs = tuple(cs)
         self.order = order
 
-    @classmethod
-    def identity(cls, order: int) -> "RatSeries":
-        """The series z."""
-        return cls((0, 1), order)
-
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
-
-    def valuation(self) -> int:
-        """Index of the first nonzero coefficient (== order if all zero)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order
 
     def _lift(self, other) -> "RatSeries":
         if isinstance(other, RatSeries):
@@ -126,7 +114,7 @@ class RatSeries:
         return RatSeries(out, self.order)
 
     def compose(self, inner: "RatSeries") -> "RatSeries":
-        """outer(inner(z)) by Horner accumulation; inner must have valuation >= 1."""
+        """outer(inner(z)) by Horner accumulation; inner must have zero constant term."""
         if inner.coeffs[0] != 0:
             raise CompositionError("inner series must have zero constant term")
         order = min(self.order, inner.order)
@@ -134,10 +122,6 @@ class RatSeries:
         for k in range(order - 2, -1, -1):
             acc = acc * inner + self.coeffs[k]
         return acc
-
-    def coefficient_strings(self) -> list:
-        """Coefficients as exact ``num/den`` strings."""
-        return [str(c) for c in self.coeffs]
 
     def __eq__(self, other):
         if not isinstance(other, RatSeries):

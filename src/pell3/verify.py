@@ -186,49 +186,42 @@ def run_roots(
     return report
 
 
-def run_lagrange(
-    order: int = DEFAULT_MAX_N["lagrange"],
-    first_term_max_n: int | None = None,
-    first_term_order: int = 33,
-    bridge_max_n: int | None = None,
-    radius_order: int = 60,
-) -> SuiteReport:
+def run_lagrange(order: int = DEFAULT_MAX_N["lagrange"]) -> SuiteReport:
     """Inversion oracle, leading-term expansion, bridge, and radius ratio.
 
-    The expansion runs for n <= first_term_max_n (default min(24, order))
-    and the bridge for 1 <= n <= bridge_max_n (default order), both from
-    one pass of lagrange.first_term_numerators; the bridge compares with
-    the rows of one coefficient_triangle of r.
+    The expansion runs for n <= min(24, order) over 33 coefficients and the
+    bridge for 1 <= n <= order, both from one pass of
+    lagrange.first_term_numerators; the bridge compares with the rows of
+    one coefficient_triangle of r.  The ratio u_60/u_59 must equal its
+    closed form and lie strictly between u_59/u_58 and 27/32.
     """
-    if first_term_max_n is None:
-        first_term_max_n = min(24, order)
-    if bridge_max_n is None:
-        bridge_max_n = order
-    report = SuiteReport("lagrange", 0, max(order, first_term_max_n, bridge_max_n))
+    report = SuiteReport("lagrange", 0, order)
     try:
         lagrange.verify_inversion(order)
     except IdentityViolationError as exc:
         report.fail(f"inversion: {exc}", n=order)
-    rows = coefficient_triangle(R, bridge_max_n)
-    width = max(first_term_order, (bridge_max_n - 1) // 3 + 1)
-    series = lagrange.first_term_numerators(width)
+    rows = coefficient_triangle(R, order)
+    series = lagrange.first_term_numerators(max(33, (order - 1) // 3 + 1))
     bridge_failures = []
-    for n, coeffs in zip(range(max(first_term_max_n, bridge_max_n) + 1), series):
-        if n <= first_term_max_n:
+    for n, coeffs in zip(range(order + 1), series):
+        if n <= 24:
             try:
-                lagrange.check_first_term(n, coeffs[:first_term_order])
+                lagrange.check_first_term(n, coeffs[:33])
             except IdentityViolationError as exc:
                 report.fail(f"first-term expansion: {exc}", n=n)
-        if 1 <= n <= bridge_max_n:
+        if n >= 1:
             try:
                 lagrange.check_bridge(n, coeffs, rows[n])
             except IdentityViolationError as exc:
                 bridge_failures.append((f"bridge: {exc}", n))
     for check, n in bridge_failures:
         report.fail(check, n=n)
-    ratio = lagrange.radius_estimate(radius_order)
-    if abs(ratio - Fraction(27, 32)) > Fraction(5, 100):
-        report.fail(f"radius ratio {ratio} too far from 27/32", n=radius_order)
+    n = 60
+    ratio = lagrange.radius_estimate(n)
+    if ratio != Fraction(3 * (3 * n - 2) * (3 * n - 4), 16 * n * (2 * n - 1)):
+        report.fail(f"radius ratio {ratio} differs from 3(3n-2)(3n-4)/(16n(2n-1))", n=n)
+    if not lagrange.radius_estimate(n - 1) < ratio < Fraction(27, 32):
+        report.fail(f"radius ratio {ratio} not strictly between u_59/u_58 and 27/32", n=n)
     return report
 
 

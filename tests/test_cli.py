@@ -165,6 +165,13 @@ class TestPlotData:
             main(["plot-data", "--from", "0", "--to", "1", "--steps", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_past_float_range_is_usage_error(self, capsys, fmt):
+        code = main(["plot-data", "--from", "0", "--to", "1e400", "--steps", "2", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "float range" in err
+
 
 class TestNumericDemo:
     def test_small_run(self, capsys):
@@ -180,6 +187,14 @@ class TestNumericDemo:
         with pytest.raises(SystemExit) as exc:
             main(["numeric-demo", "--family", "r", "--x", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_past_float_range_is_usage_error(self, capsys, fmt):
+        # r_n(1) passes the largest float near n = 900
+        code = main(["numeric-demo", "--family", "r", "--n-max", "900", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "float range" in err
 
 
 class TestBench:
@@ -251,6 +266,12 @@ BINET_CASES = [
     for t in ("0", "1/2", "-5/7", "11/12")
 ]
 BINET_GOLDEN = (GOLDEN / "binet.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+# argv, stdout and exit code of every subcommand except the float-printing
+# numeric-demo and the timing bench, usage errors included
+TRANSCRIPT = [
+    json.loads(line)
+    for line in (GOLDEN / "cli_transcript.jsonl").read_text(encoding="utf-8").splitlines()
+]
 
 
 class TestGoldenOutput:
@@ -270,6 +291,15 @@ class TestGoldenOutput:
         code, out = run(capsys, "series", "--order", "40")
         assert code == 0
         assert out == (GOLDEN / "series_order40.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("entry", TRANSCRIPT, ids=lambda e: " ".join(e["argv"]) or "no-args")
+    def test_cli_transcript(self, capsys, monkeypatch, entry):
+        monkeypatch.delenv("PELL3_SEED", raising=False)
+        try:
+            code = main(entry["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        assert (capsys.readouterr().out, code) == (entry["stdout"], entry["exit"])
 
 
 def test_numeric_demo_without_numpy_is_usage_error(monkeypatch, capsys):

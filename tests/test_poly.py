@@ -4,10 +4,23 @@ from fractions import Fraction
 import pytest
 
 from pell3.pell import FAMILIES, R, SIGMA, recurrence_gen
-from pell3.poly import CompactPell, DensePoly
+from pell3.poly import DELTA, CompactPell, DensePoly
 
 R18_COEFFS = (131072, 245760, 159744, 42240, 4032, 84)
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
+
+
+def from_dense(dense: DensePoly, family: str, n: int) -> CompactPell:
+    """Reference inverse of ``CompactPell.to_dense``: the coefficients at
+    exponents n - delta - 3l, with nothing allowed off that grid."""
+    top = n - DELTA[family]
+    assert dense.degree <= top
+    dense_coeffs = list(dense.coeffs) + [0] * (top + 1 - len(dense.coeffs))
+    coeffs = dense_coeffs[top::-3]
+    assert sum(map(bool, coeffs)) == sum(map(bool, dense_coeffs))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return CompactPell(family, n, tuple(coeffs))
 
 
 class TestDensePoly:
@@ -59,11 +72,7 @@ class TestCompactPell:
         for family in FAMILIES.values():
             for n in range(41):
                 p = recurrence_gen(family, n)
-                assert CompactPell.from_dense(p.to_dense(), family.name, n) == p
-
-    def test_from_dense_rejects_off_grid(self):
-        with pytest.raises(ValueError):
-            CompactPell.from_dense(DensePoly((1, 1)), "r", 2)
+                assert from_dense(p.to_dense(), family.name, n) == p
 
     def test_eval_in_z(self):
         assert CompactPell("r", 3, (4,)).eval_in_z(1) == 4

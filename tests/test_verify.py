@@ -181,6 +181,14 @@ class TestLagrangeSuite:
         assert [(f["n"], f["check"].split(":")[0]) for f in report.failures] == [(37, "bridge")]
         assert "differs from r_37 coefficients" in report.failures[0]["check"]
 
+    def test_radius_ratio_off_its_closed_form_is_reported(self, monkeypatch):
+        # within 5/100 of 27/32, but above it and the same at every order
+        ratio = Fraction(27, 32) + Fraction(1, 1000)
+        monkeypatch.setattr(lagrange, "radius_estimate", lambda order: ratio)
+        report = verify.run_lagrange(order=12)
+        assert [f["n"] for f in report.failures] == [60, 60]
+        assert all(f["check"].startswith(f"radius ratio {ratio} ") for f in report.failures)
+
     def test_perturbed_inversion_coefficient_fails_the_first_term_check(self, monkeypatch):
         # C(7, 2) = 21 -> 24 keeps C(3n-2, n-1)/n integral at n = 3 (7 -> 8)
         comb = lagrange.comb
