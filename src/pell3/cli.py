@@ -82,13 +82,13 @@ def render_poly(poly: CompactPell, fmt: str) -> str:
 
 
 def cmd_eval(args, parser) -> int:
-    text = render_poly(pell.recurrence_gen(args.family, args.n), args.format)
+    text = render_poly(pell.polynomial(args.family, args.n), args.format)
     print(text, end="" if text.endswith("\n") else "\n")
     return EXIT_OK
 
 
 def cmd_coeffs(args, parser) -> int:
-    poly = pell.recurrence_gen(args.family, args.n)
+    poly = pell.polynomial(args.family, args.n)
     coeffs = [str(c) for c in poly.coeffs]
     if args.format == "plain":
         print(" ".join(coeffs) if coeffs else "0")
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bench", cmd_bench, "time recurrence vs closed form")
     p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--n", type=_nonneg, required=True)
 
     return parser
 

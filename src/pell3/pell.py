@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import chain, islice
+from math import comb
 from operator import add, lshift
 from typing import Iterator, Sequence
 
@@ -33,7 +34,8 @@ class ClosedFormRangeError(ValueError):
 class Family:
     """A family tag: initial values p_0, p_1, p_2 as compact y-coefficients
     (y = 2x), and the smallest index served by the closed form.  Seeds
-    below ``closed_form_min`` sit at exponent 0, where y- and x-form agree.
+    below ``closed_form_min`` sit at exponent 0, where y- and x-form agree;
+    callers serve those seed rows there.
     """
 
     name: str
@@ -97,37 +99,56 @@ def recurrence_gen(family: Family, n: int) -> CompactPell:
     return CompactPell(family.name, n, _x_coeffs(family, n, row))
 
 
+def _term_ratio(name: str, n: int, l: int, m: int) -> tuple:
+    """(num, den) with coefficient l = coefficient l-1 * num / den in row n,
+    m = n - delta - 2l.  It is C(m,l)/C(m+2,l-1), which is
+    (m-l+3)(m-l+2)(m-l+1)/(l(m+2)(m+1)), times the ratio of the prefactors
+    on the two binomials: 1 for r, (n-l-1)(m+2)/((n-l)m) for s and
+    (m+2)/m for sigma."""
+    num = (m - l + 3) * (m - l + 2) * (m - l + 1)
+    if name == "r":
+        return num, l * (m + 2) * (m + 1)
+    if name == "s":
+        return (n - l - 1) * num, (n - l) * l * m * (m + 1)
+    return num, l * m * (m + 1)
+
+
 def closed_form(family: Family, n: int) -> CompactPell:
     """n-th family polynomial from the closed-form binomial sum.
 
     With M = n - delta - 2l, the y-coefficient l is C(M, l) for r,
-    (n-l-1)/M * C(M, l) for s and n/M * C(M, l) for sigma, each binomial
-    built from the one before by its term ratio.  The s and sigma
-    prefactors must divide out; a remainder raises IdentityViolationError.
+    (n-l-1)/M * C(M, l) for s and n/M * C(M, l) for sigma.  Coefficient 0
+    is 1, and each next one is the one before times its term ratio; every
+    division must be exact, and a remainder raises IdentityViolationError.
     Below the family's valid range (s needs n >= 2, sigma n >= 1) the
     prefactor degenerates to 0/0 and ClosedFormRangeError is raised;
-    callers fall back to recurrence_gen there.
+    callers serve the seed rows there.
     """
     if n < family.closed_form_min:
         raise ClosedFormRangeError(
             f"closed form for family {family.name} needs n >= {family.closed_form_min}, got {n}"
         )
     top = n - family.delta
-    binom, row = 1, []
-    for l in range(top // 3 + 1):
-        m = top - 2 * l
-        if l:
-            binom = binom * ((m - l + 3) * (m - l + 2) * (m - l + 1)) // (l * (m + 2) * (m + 1))
-        if family.name == "r":
-            row.append(binom)
-            continue
-        coeff, rem = divmod(binom * (n - l - 1 if family.name == "s" else n), m)
+    coeff, row = 1, [1] if top >= 0 else []
+    for l in range(1, top // 3 + 1):
+        num, den = _term_ratio(family.name, n, l, top - 2 * l)
+        coeff, rem = divmod(coeff * num, den)
         if rem:
             raise IdentityViolationError(
                 f"closed-form coefficient is not an integer (family {family.name}, n={n}, l={l})"
             )
         row.append(coeff)
     return CompactPell(family.name, n, _x_coeffs(family, n, row))
+
+
+def polynomial(family: Family, n: int) -> CompactPell:
+    """n-th family polynomial: the seed row below ``closed_form_min``, the
+    closed form from there on, proved equal by closed_form_certificate."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    if n < family.closed_form_min:
+        return CompactPell(family.name, n, family.seeds[n])
+    return closed_form(family, n)
 
 
 def coefficient_triangle(family: Family, max_n: int) -> list:
@@ -146,3 +167,92 @@ def triangle_csv(family: Family, max_n: int) -> str:
     buf.write("n,l,coeff\n")
     buf.writelines(f"{n},{l},{c}\n" for n, row in rows for l, c in enumerate(row))
     return buf.getvalue()
+
+
+#: The paper's closed form F(n, l) = u(n, l)/M * C(M, l), M = n - delta - 2l,
+#: by its numerator u(n, l, M).
+PAPER_NUMERATOR = {
+    "r": lambda n, l, m: m,
+    "s": lambda n, l, m: n - l - 1,
+    "sigma": lambda n, l, m: n,
+}
+
+#: Degree bounds of the polynomials the certificate tests for zero.  One of
+#: degree <= d that vanishes on d+1 distinct values per variable is zero.
+STEP_DEGREE = 2  # _step_terms in (n, l): u is linear
+RATIO_DEGREE = 8  # _term_ratio against F(n,l)/F(n,l-1) in lowest terms, cross-multiplied
+FIRST_DEGREE = 1  # u(n, 0, M) - M: F(n, 0) = 1, where closed_form starts each row
+
+
+def _grid(d: int, start: int) -> range:
+    """d+1 consecutive integers from start: enough to certify degree d."""
+    return range(start, start + d + 1)
+
+
+def _step_terms(family: Family, n: int, l: int) -> tuple:
+    """F(n,l), F(n-1,l) and F(n-3,l-1) times M(M-1)/C(M,l), M = n - delta - 2l.
+
+    With C(M-1,l) = C(M,l)(M-l)/M and C(M-1,l-1) = C(M,l) l/M, the step
+    F(n,l) = F(n-1,l) + F(n-3,l-1) says the first term equals the other
+    two.  The factor l clears row n-3 at l = 0, and M-l clears row n-1 at
+    the last l, where that row is one entry shorter.
+    """
+    m, u = n - family.delta - 2 * l, PAPER_NUMERATOR[family.name]
+    return u(n, l, m) * (m - 1), u(n - 1, l, m - 1) * (m - l), u(n - 3, l - 1, m - 1) * l
+
+
+def closed_form_certificate(family: Family) -> list:
+    """Prove polynomial(family, n) == recurrence_gen(family, n) for every n;
+    return the failed checks, none when proved.
+
+    (a) The paper's F obeys the step of _step_terms for all (n, l).  (b)
+    closed_form's term ratio equals F(n,l)/F(n,l-1), and F(n,0) = 1.  Each
+    is a polynomial identity of stated degree, checked on a grid.  (c) Rows
+    n < N0 = delta + 4 match the recurrence.  From N0 on no denominator M
+    or M-1 vanishes for an admissible l and rows n-1, n-3 are closed-form
+    rows, so (a) and (b) carry the match to row n.
+    """
+    name, delta, u = family.name, family.delta, PAPER_NUMERATOR[family.name]
+
+    def step(n, l):
+        now, before, three_back = _step_terms(family, n, l)
+        return now - before - three_back
+
+    def ratio(n, l):
+        # F(n,l)/F(n,l-1) = u(n,l) C(m,l) (m+2) / (u(n,l-1) C(m+2,l-1) m)
+        m = n - delta - 2 * l
+        num, den = _term_ratio(name, n, l, m)
+        before = u(n, l - 1, m + 2) * comb(m + 2, l - 1) * m
+        return num * before - den * u(n, l, m) * comb(m, l) * (m + 2)
+
+    def first(n, l):
+        return u(n, 0, n - delta) - (n - delta)
+
+    failures = []
+    for check, d, poly, start in (
+        ("step identity", STEP_DEGREE, step, 0),
+        # n >= 3l + delta on this grid: m >= l >= 1, where the binomials
+        # take the values of the ratio's rational function
+        ("term ratio", RATIO_DEGREE, ratio, 3 * RATIO_DEGREE + 4),
+        ("first coefficient", FIRST_DEGREE, first, 0),
+    ):
+        xs, ls = _grid(d, start), _grid(d, 1)
+        if min(len(set(xs)), len(set(ls))) <= d:
+            failures.append(f"{check}: grid too small for degree {d}")
+        elif any(poly(x, l) for x in xs for l in ls):
+            failures.append(f"{check}: nonzero on the grid")
+    n0 = delta + 4
+    # min over l of M is k + j at n - delta = 3k + j, which grows along each
+    # residue class mod 3: rows N0..N0+2 stand for every n >= N0
+    if n0 - 3 < family.closed_form_min or any(
+        sum(divmod(n - delta, 3)) < 2 for n in range(n0, n0 + 3)
+    ):
+        failures.append(f"N0 = {n0}: a denominator M or M-1 can vanish from N0 on")
+    for n, row in enumerate(coefficient_triangle(family, n0 - 1)):
+        try:
+            same = polynomial(family, n).coeffs == row
+        except IdentityViolationError:
+            same = False
+        if not same:
+            failures.append(f"base row {n} differs from the recurrence")
+    return failures

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import binet, lagrange
 from .exactnum import IdentityViolationError
-from .pell import FAMILIES, R, Family, closed_form, coefficient_triangle
+from .pell import FAMILIES, R, Family, closed_form, closed_form_certificate, coefficient_triangle
 from .poly import horner_terms
 
 SUITES = ("closed-form", "binet", "xi", "lagrange", "roots")
@@ -59,9 +59,13 @@ class SuiteReport:
 
 
 def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:
-    """Closed form == recurrence for every family over its valid range."""
+    """Closed form == recurrence for every family over its valid range:
+    proved for every n by pell.closed_form_certificate, compared row by row
+    up to max_n."""
     report = SuiteReport("closed-form", 0, max_n)
     for family in FAMILIES.values():
+        for check in closed_form_certificate(family):
+            report.fail(f"{family.name}: certificate: {check}")
         rows = coefficient_triangle(family, max_n)
         for n in range(family.closed_form_min, max_n + 1):
             try:

@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 import time
@@ -70,6 +71,50 @@ class TestCoeffsAndTriangle:
     def test_triangle_json(self, capsys):
         _, out = run(capsys, "triangle", "--family", "sigma", "--max-n", "1")
         assert json.loads(out) == {"family": "sigma", "max_n": 1, "rows": [["3"], ["2"]]}
+
+
+@functools.cache
+def by_recurrence(family: str, n: int) -> CompactPell:
+    return pell.recurrence_gen(pell.by_name(family), n)
+
+
+def rendered_by_recurrence(command: str, family: str, n: int, fmt: str) -> str:
+    """What ``eval``/``coeffs`` printed while both read the recurrence."""
+    poly = by_recurrence(family, n)
+    if command == "eval":
+        text = render_poly(poly, fmt)
+        return text if text.endswith("\n") else text + "\n"
+    coeffs = [str(c) for c in poly.coeffs]
+    if fmt == "plain":
+        return (" ".join(coeffs) or "0") + "\n"
+    if fmt == "csv":
+        return "l,coeff\n" + "".join(f"{l},{c}\n" for l, c in enumerate(coeffs))
+    return json.dumps({"family": family, "n": n, "coeffs": coeffs}) + "\n"
+
+
+class TestRouteSwitch:
+    """eval and coeffs print the closed form (seed rows below it) byte for
+    byte as they printed the recurrence."""
+
+    @pytest.mark.parametrize("command", ["eval", "coeffs"])
+    @pytest.mark.parametrize("family", ["r", "s", "sigma"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_byte_identical_to_the_recurrence(self, capsys, command, family, fmt):
+        for n in [*range(41), 399, 1000]:
+            code, out = run(capsys, command, "--family", family, "--n", str(n), "--format", fmt)
+            assert (code, out) == (0, rendered_by_recurrence(command, family, n, fmt)), n
+
+    def test_only_triangle_runs_the_recurrence(self, capsys, monkeypatch):
+        calls = []
+        rows = pell._rows
+        monkeypatch.setattr(pell, "_rows", lambda family: calls.append(family.name) or rows(family))
+        for command in ("eval", "coeffs"):
+            for family in ("r", "s", "sigma"):
+                for n in (0, 1, 2, 5, 60):
+                    run(capsys, command, "--family", family, "--n", str(n))
+        assert calls == []
+        run(capsys, "triangle", "--family", "s", "--max-n", "4")
+        assert calls == ["s"]
 
 
 class TestSeries:
@@ -205,10 +250,17 @@ class TestBench:
         assert result["equal"] is True
         assert result["recurrence_seconds"] >= 0
 
-    def test_below_validity_bound_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--family", "s", "--n", "1"])
-        assert exc.value.code == 2
+    def test_below_validity_bound_is_usage_error(self, capsys):
+        for n in ("0", "1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--family", "s", "--n", n])
+            assert exc.value.code == 2
+            assert "closed form for family s needs n >= 2" in capsys.readouterr().err
+
+    def test_r_at_zero(self, capsys):
+        code, out = run(capsys, "bench", "--family", "r", "--n", "0")
+        assert code == 0
+        assert json.loads(out)["equal"] is True
 
     def test_sigma_n_one(self, capsys):
         code, out = run(capsys, "bench", "--family", "sigma", "--n", "1")
@@ -246,7 +298,7 @@ def default_int_str_limit():
 def test_render_past_int_str_limit(monkeypatch, capsys, default_int_str_limit):
     big = 7 * 10**4399  # 4400 digits, past the default limit of 4300
     poly = CompactPell("r", 4, (big, 1))
-    monkeypatch.setattr(pell, "recurrence_gen", lambda family, n: poly)
+    monkeypatch.setattr(pell, "polynomial", lambda family, n: poly)
     digits = "7" + "0" * 4399
     for fmt in FORMATS:
         code, out = run(capsys, "eval", "--family", "r", "--n", "4", "--format", fmt)

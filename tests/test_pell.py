@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pell3 import pell, verify
 from pell3.pell import (
     FAMILIES,
     R,
@@ -14,10 +15,13 @@ from pell3.pell import (
     _rows,
     by_name,
     closed_form,
+    closed_form_certificate,
     coefficient_triangle,
+    polynomial,
     recurrence_gen,
     triangle_csv,
 )
+from pell3.poly import CompactPell
 
 
 class TestRecurrence:
@@ -140,3 +144,135 @@ class TestYForm:
     @pytest.mark.parametrize("family", [S, SIGMA], ids=["s", "sigma"])
     def test_large_index_agrees(self, family):
         assert recurrence_gen(family, 3001) == closed_form(family, 3001)
+
+
+class TestPolynomial:
+    def test_seed_rows_below_the_closed_form(self):
+        assert polynomial(S, 0).coeffs == () and polynomial(S, 1).coeffs == (2,)
+        assert polynomial(SIGMA, 0).coeffs == (3,)
+
+    def test_closed_form_from_its_minimum(self):
+        for family in FAMILIES.values():
+            for n in range(family.closed_form_min, 40):
+                assert polynomial(family, n) == closed_form(family, n)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            polynomial(R, -1)
+
+
+def certificate_failures() -> dict:
+    return {name: closed_form_certificate(family) for name, family in FAMILIES.items()}
+
+
+class TestClosedFormCertificate:
+    """Each mutant of the code the certificate covers must break it."""
+
+    @staticmethod
+    def perturb_term_ratio(monkeypatch, families, factor):
+        """Multiply the term ratio of the named families by factor(n, l, m)."""
+        term_ratio = pell._term_ratio
+
+        def perturbed(name, n, l, m):
+            num, den = term_ratio(name, n, l, m)
+            if name not in families:
+                return num, den
+            f_num, f_den = factor(n, l, m)
+            return num * f_num, den * f_den
+
+        monkeypatch.setattr(pell, "_term_ratio", perturbed)
+
+    def test_holds_for_every_family(self):
+        assert certificate_failures() == {"r": [], "s": [], "sigma": []}
+
+    def test_perturbed_binomial_step(self, monkeypatch):
+        # the factor m-l+3 of C(m,l)/C(m+2,l-1) read as m-l+4
+        self.perturb_term_ratio(monkeypatch, FAMILIES, lambda n, l, m: (m - l + 4, m - l + 3))
+        for failures in certificate_failures().values():
+            assert failures[0] == "term ratio: nonzero on the grid"
+            assert failures[1].startswith("base row")
+
+    @pytest.mark.parametrize("name", ["s", "sigma"])
+    def test_perturbed_prefactor(self, monkeypatch, name):
+        # the prefactor times n+l+1
+        self.perturb_term_ratio(monkeypatch, {name}, lambda n, l, m: (n + l + 1, n + l))
+        found = certificate_failures()
+        assert found.pop(name)[0] == "term ratio: nonzero on the grid"
+        assert list(found.values()) == [[], []]
+
+    def test_perturbed_paper_numerator(self, monkeypatch):
+        # n + l still obeys the step identity, and n + 1 has sigma's term
+        # ratio: each check catches what the others let through
+        monkeypatch.setitem(pell.PAPER_NUMERATOR, "sigma", lambda n, l, m: n + l)
+        assert closed_form_certificate(SIGMA) == ["term ratio: nonzero on the grid"]
+        monkeypatch.setitem(pell.PAPER_NUMERATOR, "sigma", lambda n, l, m: n + 1)
+        assert closed_form_certificate(SIGMA) == [
+            "step identity: nonzero on the grid",
+            "first coefficient: nonzero on the grid",
+        ]
+
+    def test_base_row_off_by_one(self, monkeypatch):
+        unperturbed = pell.closed_form
+
+        def off_by_one(family, n):
+            poly = unperturbed(family, n)
+            if (family.name, n) != ("r", 3):
+                return poly
+            return CompactPell("r", 3, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
+
+        monkeypatch.setattr(pell, "closed_form", off_by_one)
+        found = certificate_failures()
+        assert found["r"] == ["base row 3 differs from the recurrence"]
+        assert found["s"] == found["sigma"] == []
+
+    def test_grid_of_d_points(self, monkeypatch):
+        monkeypatch.setattr(pell, "_grid", lambda d, start: range(start, start + d))
+        for failures in certificate_failures().values():
+            assert failures == [
+                f"step identity: grid too small for degree {pell.STEP_DEGREE}",
+                f"term ratio: grid too small for degree {pell.RATIO_DEGREE}",
+                f"first coefficient: grid too small for degree {pell.FIRST_DEGREE}",
+            ]
+
+    def test_failure_is_one_closed_form_report_entry(self, monkeypatch):
+        monkeypatch.setattr(pell, "_grid", lambda d, start: range(start, start + d))
+        report = verify.run_closed_form(12)
+        assert len(report.failures) == 9
+        assert report.failures[0] == {
+            "suite": "closed-form",
+            "t": None,
+            "n": None,
+            "check": "r: certificate: step identity: grid too small for degree 2",
+        }
+
+    def test_stated_degree_bounds(self):
+        sympy = pytest.importorskip("sympy")
+        n, l = sympy.symbols("n l")
+
+        def degree(expr):
+            return sympy.Poly(sympy.expand(expr), n, l).total_degree()
+
+        step, ratio, first = [], [], []
+        for family in FAMILIES.values():
+            terms = pell._step_terms(family, n, l)
+            assert sympy.expand(terms[0] - terms[1] - terms[2]) == 0
+            step.append(max(map(degree, terms)))
+
+            u = pell.PAPER_NUMERATOR[family.name]
+
+            def paper(l):
+                m = n - family.delta - 2 * l
+                return u(n, l, m) / m * sympy.binomial(m, l)
+
+            quotient = sympy.cancel(sympy.combsimp(paper(l) / paper(l - 1)))
+            q_num, q_den = sympy.fraction(quotient)
+            num, den = pell._term_ratio(family.name, n, l, n - family.delta - 2 * l)
+            assert sympy.expand(num * q_den - q_num * den) == 0
+            ratio.append(max(degree(num * q_den), degree(q_num * den)))
+
+            top = n - family.delta
+            assert sympy.expand(u(n, 0, top) - top) == 0
+            first.append(max(degree(u(n, 0, top)), degree(top)))
+        assert max(step) == pell.STEP_DEGREE
+        assert max(ratio) == pell.RATIO_DEGREE
+        assert max(first) == pell.FIRST_DEGREE
