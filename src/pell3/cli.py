@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import binet, lagrange, pell, verify
 from .exactnum import IdentityViolationError
-from .poly import CompactPell
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -70,32 +69,36 @@ def _csv_lines(header, rows) -> str:
     return buf.getvalue()
 
 
-def render_poly(poly: CompactPell, fmt: str) -> str:
+def _plain_term(exp: int, digits: str) -> str:
+    if exp == 0:
+        return digits
+    x = "x" if exp == 1 else f"x^{exp}"
+    return x if digits == "1" else digits + x
+
+
+def render_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> str:
+    """Stdout of ``eval`` or ``coeffs`` for row n, from the decimal strings
+    of its x-coefficients.  ``coeffs`` prints them all by index l; ``eval``
+    prints the nonzero ones at exponent n - delta - 3l, highest first (the
+    three families have no negative coefficients)."""
+    if command == "coeffs":
+        if fmt == "plain":
+            return (" ".join(digits) or "0") + "\n"
+        if fmt == "csv":
+            return _csv_lines(["l", "coeff"], enumerate(digits))
+        return json.dumps({"family": family.name, "n": n, "coeffs": digits}) + "\n"
+    terms = [(n - family.delta - 3 * l, d) for l, d in enumerate(digits) if d != "0"]
     if fmt == "plain":
-        return poly.to_dense().format_plain()
+        return ("+".join([_plain_term(e, d) for e, d in terms]) or "0") + "\n"
     if fmt == "csv":
-        return _csv_lines(
-            ["exp", "coeff"],
-            [[poly.exponent(l), str(c)] for l, c in enumerate(poly.coeffs) if c],
-        )
-    return json.dumps(poly.to_json_dict())
+        return _csv_lines(["exp", "coeff"], terms)
+    json_terms = [{"exp": e, "coeff": d} for e, d in terms]
+    return json.dumps({"family": family.name, "n": n, "terms": json_terms}) + "\n"
 
 
-def cmd_eval(args, parser) -> int:
-    text = render_poly(pell.polynomial(args.family, args.n), args.format)
-    print(text, end="" if text.endswith("\n") else "\n")
-    return EXIT_OK
-
-
-def cmd_coeffs(args, parser) -> int:
-    poly = pell.polynomial(args.family, args.n)
-    coeffs = [str(c) for c in poly.coeffs]
-    if args.format == "plain":
-        print(" ".join(coeffs) if coeffs else "0")
-    elif args.format == "csv":
-        print(_csv_lines(["l", "coeff"], list(enumerate(coeffs))), end="")
-    else:
-        print(json.dumps({"family": args.family.name, "n": args.n, "coeffs": coeffs}))
+def cmd_row(args, parser) -> int:
+    digits = pell.coefficient_digits(args.family, args.n)
+    print(render_row(args.command, args.family, args.n, digits, args.format), end="")
     return EXIT_OK
 
 
@@ -313,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, default="json"):
         p.add_argument("--format", choices=FORMATS, default=default)
 
-    p = command("eval", cmd_eval, "print a family polynomial")
+    p = command("eval", cmd_row, "print a family polynomial")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
     add_format(p)
 
-    p = command("coeffs", cmd_coeffs, "print compact coefficients")
+    p = command("coeffs", cmd_row, "print compact coefficients")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n", type=_nonneg, required=True)
     add_format(p)

@@ -1,4 +1,7 @@
+import csv
 import functools
+import hashlib
+import io
 import json
 import sys
 import time
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pell3 import pell
-from pell3.cli import FORMATS, main, plot_rows, render_poly
+from pell3.cli import FORMATS, main, plot_rows
 from pell3.poly import CompactPell
 
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -78,6 +81,20 @@ def by_recurrence(family: str, n: int) -> CompactPell:
     return pell.recurrence_gen(pell.by_name(family), n)
 
 
+def render_poly(poly: CompactPell, fmt: str) -> str:
+    """``eval``'s output format, rendered from a CompactPell through its own
+    methods, as ``eval`` printed it before it read digit strings."""
+    if fmt == "plain":
+        return poly.to_dense().format_plain()
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["exp", "coeff"])
+        writer.writerows([poly.exponent(l), str(c)] for l, c in enumerate(poly.coeffs) if c)
+        return buf.getvalue()
+    return json.dumps(poly.to_json_dict())
+
+
 def rendered_by_recurrence(command: str, family: str, n: int, fmt: str) -> str:
     """What ``eval``/``coeffs`` printed while both read the recurrence."""
     poly = by_recurrence(family, n)
@@ -93,14 +110,16 @@ def rendered_by_recurrence(command: str, family: str, n: int, fmt: str) -> str:
 
 
 class TestRouteSwitch:
-    """eval and coeffs print the closed form (seed rows below it) byte for
+    """eval and coeffs print the closed form (seed rows below it), in int
+    digits and, from the decimal crossover on, in Decimal digits, byte for
     byte as they printed the recurrence."""
 
     @pytest.mark.parametrize("command", ["eval", "coeffs"])
     @pytest.mark.parametrize("family", ["r", "s", "sigma"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_byte_identical_to_the_recurrence(self, capsys, command, family, fmt):
-        for n in [*range(41), 399, 1000]:
+        first = pell.DECIMAL_MIN_TOP + pell.by_name(family).delta
+        for n in [*range(41), 399, *range(first - 3, first + 4), 1000, 3000, 3001, 5000]:
             code, out = run(capsys, command, "--family", family, "--n", str(n), "--format", fmt)
             assert (code, out) == (0, rendered_by_recurrence(command, family, n, fmt)), n
 
@@ -326,6 +345,14 @@ TRANSCRIPT = [
 ]
 
 
+# sha256 of stdout for large rows, captured while eval and coeffs printed
+# str() of int coefficients
+LARGE_N_GOLDEN = [
+    line.split("  ", 1)
+    for line in (GOLDEN / "large_n.sha256").read_text(encoding="utf-8").splitlines()
+]
+
+
 class TestGoldenOutput:
     def test_verify_all(self, capsys):
         code, out = run(capsys, "verify", "--suite", "all", "--seed", "42")
@@ -352,6 +379,13 @@ class TestGoldenOutput:
         except SystemExit as exc:
             code = exc.code
         assert (capsys.readouterr().out, code) == (entry["stdout"], entry["exit"])
+
+
+    @pytest.mark.parametrize("digest, command", LARGE_N_GOLDEN, ids=[c for _, c in LARGE_N_GOLDEN])
+    def test_large_n(self, capsys, digest, command):
+        code, out = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_numeric_demo_without_numpy_is_usage_error(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import decimal
 from itertools import islice
 from math import comb
 
@@ -16,11 +17,13 @@ from pell3.pell import (
     by_name,
     closed_form,
     closed_form_certificate,
+    coefficient_digits,
     coefficient_triangle,
     polynomial,
     recurrence_gen,
     triangle_csv,
 )
+from pell3.exactnum import IdentityViolationError
 from pell3.poly import CompactPell
 
 
@@ -159,6 +162,54 @@ class TestPolynomial:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             polynomial(R, -1)
+
+
+class TestCoefficientDigits:
+    """Digit strings of polynomial(); large rows are built in Decimal."""
+
+    def test_seed_rows(self):
+        assert coefficient_digits(S, 0) == [] and coefficient_digits(S, 1) == ["2"]
+        assert coefficient_digits(SIGMA, 0) == ["3"] and coefficient_digits(R, 0) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equal_to_the_closed_form(self, data):
+        family = data.draw(st.sampled_from(list(FAMILIES.values())))
+        n = data.draw(
+            st.integers(family.closed_form_min, 4000) | st.integers(pell.DECIMAL_MIN_TOP, 4000)
+        )
+        assert coefficient_digits(family, n) == [str(c) for c in closed_form(family, n).coeffs]
+
+    def test_decimal_remainder_raises(self, monkeypatch):
+        ratio = pell._term_ratio
+
+        def leaves_a_remainder(name, n, l, m):
+            num, den = ratio(name, n, l, m)
+            return (num + 1, den) if l == 500 else (num, den)
+
+        assert 3000 - S.delta >= pell.DECIMAL_MIN_TOP
+        monkeypatch.setattr(pell, "_term_ratio", leaves_a_remainder)
+        with pytest.raises(IdentityViolationError, match="l=500"):
+            coefficient_digits(S, 3000)
+
+    def test_steps_run_in_the_exact_context(self, monkeypatch):
+        signals = (
+            decimal.Inexact,
+            decimal.Rounded,
+            decimal.InvalidOperation,
+            decimal.Overflow,
+            decimal.DivisionByZero,
+        )
+        ratio, seen = pell._term_ratio, set()
+
+        def spy(*args):
+            ctx = decimal.getcontext()
+            seen.add((ctx.prec, ctx.Emax, all(ctx.traps[s] for s in signals)))
+            return ratio(*args)
+
+        monkeypatch.setattr(pell, "_term_ratio", spy)
+        coefficient_digits(SIGMA, 3000)
+        assert seen == {(decimal.MAX_PREC, decimal.MAX_EMAX, True)}
 
 
 def certificate_failures() -> dict:
