@@ -72,7 +72,6 @@ class RootTriple:
     z*v^3 - 2v + 1 = 0).  w1, v1 are rational; the other two are a
     conjugate pair, w2 carrying -W and w3 carrying +W."""
 
-    point: SubstitutionPoint
     w1: Fraction
     w2: QuadExt
     w3: QuadExt
@@ -118,7 +117,6 @@ def roots(point: SubstitutionPoint) -> RootTriple:
     v2 = QuadExt(Fraction(1 + t) / den, Fraction(1) / den, d)
     v3 = QuadExt(Fraction(1 + t) / den, Fraction(-1) / den, d)
     return RootTriple(
-        point=point,
         w1=1 - t,
         w2=w2,
         w3=w3,

@@ -271,15 +271,13 @@ def cmd_numeric_demo(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    if args.n < args.family.closed_form_min:
-        parser.error(
-            f"closed form for family {args.family.name} needs "
-            f"n >= {args.family.closed_form_min}"
-        )
     t0 = time.perf_counter()
     by_recurrence = pell.recurrence_gen(args.family, args.n)
     t1 = time.perf_counter()
-    by_closed_form = pell.closed_form(args.family, args.n)
+    try:
+        by_closed_form = pell.closed_form(args.family, args.n)
+    except pell.ClosedFormRangeError as exc:
+        parser.error(str(exc))
     t2 = time.perf_counter()
     equal = by_recurrence == by_closed_form
     print(

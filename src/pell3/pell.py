@@ -10,7 +10,8 @@ they differ only in their initial values:
 Each polynomial is generated two independent ways: by iterating the
 recursion, and from a closed-form binomial sum.  The two must agree
 exactly, which is what the verification suites check.  Both work in y = 2x,
-where compact coefficients are bare binomials, shifted to x on return.
+where compact coefficients are bare binomials, shifted to x on return;
+coefficient_digits, which eval and coeffs print, runs the closed form in x.
 """
 
 from __future__ import annotations
@@ -151,22 +152,12 @@ def closed_form(family: Family, n: int) -> CompactPell:
     return CompactPell(family.name, n, _x_coeffs(family, n, _ratio_row(family, n, 1, 1)))
 
 
-def polynomial(family: Family, n: int) -> CompactPell:
-    """n-th family polynomial: the seed row below ``closed_form_min``, the
-    closed form from there on, proved equal by closed_form_certificate."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if n < family.closed_form_min:
-        return CompactPell(family.name, n, family.seeds[n])
-    return closed_form(family, n)
-
-
 #: Smallest n - delta at which coefficient_digits builds the row in decimal.
 #: Converting an int to a decimal string takes time quadratic in its digits,
 #: while a Decimal times or divided by a small int, and its str, take linear
-#: time.  Timed per row on Python 3.11 (2 cores), decimal is 1.1-1.3x slower
-#: up to n - delta = 500, even around 700, and faster from 800 on: 0.8x at
-#: 1000, 0.3x at 3000.
+#: time.  Timed per row against the same x-form loop on ints (Python 3.11,
+#: 2 cores), decimal is 1.2x slower at n - delta = 500, 1.08x at 600, even
+#: at 700, and faster from 800 on: 0.94x at 800, 0.8x at 1000.
 DECIMAL_MIN_TOP = 700
 
 #: Integer arithmetic in Decimal: every digit kept, and anything that would
@@ -188,17 +179,21 @@ _EXACT = decimal.Context(
 
 
 def coefficient_digits(family: Family, n: int) -> list:
-    """Decimal strings of the x-coefficients of polynomial(family, n).
+    """Decimal strings of the x-coefficients of the n-th family polynomial:
+    the seed row below ``closed_form_min``, the closed form from there on.
 
-    Large rows run the closed form's term ratio on Decimal integers in
-    x-form, from 2^(n-delta) down by 8 times the ratio's denominator; the
-    same exactness check applies at every step.
+    The closed form's term ratio runs in x-form, from 2^(n-delta) down by 8
+    times the ratio's denominator, every division checked for a remainder,
+    on ints below DECIMAL_MIN_TOP and on Decimal integers from there on.
     """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
     top = n - family.delta
-    if top < DECIMAL_MIN_TOP:
-        return [str(c) for c in polynomial(family, n).coeffs]
+    if n < family.closed_form_min or top < 0:  # r_0 is the empty seed row
+        return [str(c) for c in family.seeds[n]]
     with decimal.localcontext(_EXACT):
-        return [str(c) for c in _ratio_row(family, n, decimal.Decimal(2) ** top, 8)]
+        first = 1 << top if top < DECIMAL_MIN_TOP else decimal.Decimal(2) ** top
+        return [str(c) for c in _ratio_row(family, n, first, 8)]
 
 
 def coefficient_triangle(family: Family, max_n: int) -> list:
@@ -253,17 +248,18 @@ def _step_terms(family: Family, n: int, l: int) -> tuple:
 
 
 def closed_form_certificate(family: Family) -> list:
-    """Prove polynomial(family, n) == recurrence_gen(family, n) for every n;
+    """Prove that coefficient_digits(family, n) and, from closed_form_min
+    on, closed_form(family, n) equal recurrence_gen(family, n) for every n;
     return the failed checks, none when proved.
 
     (a) The paper's F obeys the step of _step_terms for all (n, l).  (b)
-    closed_form's term ratio equals F(n,l)/F(n,l-1), and F(n,0) = 1.  Each
-    is a polynomial identity of stated degree, checked on a grid.  (c) Rows
-    n < N0 = delta + 4 match the recurrence.  From N0 on no denominator M
-    or M-1 vanishes for an admissible l and rows n-1, n-3 are closed-form
-    rows, so (a) and (b) carry the match to row n.  The proof covers
-    coefficient_digits too: its x-form ratio is the y-form ratio over 8,
-    and its first coefficient 2^(n-delta) is F(n,0) in x.
+    The term ratio both entry points multiply by equals F(n,l)/F(n,l-1),
+    and F(n,0) = 1 (coefficient_digits works in x: it starts at 2^(n-delta)
+    and puts 8 more in every denominator).  Each is a polynomial identity
+    of stated degree, checked on a grid.  (c) Rows n < N0 = delta + 4 of
+    both entry points match the recurrence.  From N0 on no denominator M or
+    M-1 vanishes for an admissible l and rows n-1, n-3 are closed-form rows,
+    so (a) and (b) carry the match to row n.
     """
     name, delta, u = family.name, family.delta, PAPER_NUMERATOR[family.name]
 
@@ -303,7 +299,9 @@ def closed_form_certificate(family: Family) -> list:
         failures.append(f"N0 = {n0}: a denominator M or M-1 can vanish from N0 on")
     for n, row in enumerate(coefficient_triangle(family, n0 - 1)):
         try:
-            same = polynomial(family, n).coeffs == row
+            same = coefficient_digits(family, n) == [str(c) for c in row] and (
+                n < family.closed_form_min or closed_form(family, n).coeffs == row
+            )
         except IdentityViolationError:
             same = False
         if not same:

@@ -8,7 +8,7 @@ and no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import binet, lagrange
@@ -49,13 +49,7 @@ class SuiteReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "points_checked": self.points_checked,
-            "max_n": self.max_n,
-            "failures": self.failures,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:

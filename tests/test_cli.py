@@ -317,13 +317,33 @@ def default_int_str_limit():
 def test_render_past_int_str_limit(monkeypatch, capsys, default_int_str_limit):
     big = 7 * 10**4399  # 4400 digits, past the default limit of 4300
     poly = CompactPell("r", 4, (big, 1))
-    monkeypatch.setattr(pell, "polynomial", lambda family, n: poly)
+    monkeypatch.setattr(pell, "_ratio_row", lambda family, n, first, step: [big, 1])
     digits = "7" + "0" * 4399
     for fmt in FORMATS:
         code, out = run(capsys, "eval", "--family", "r", "--n", "4", "--format", fmt)
         assert code == 0
         assert digits in out
         assert out.rstrip("\n") == render_poly(poly, fmt).rstrip("\n")
+
+
+def test_rows_never_build_a_polynomial(monkeypatch, capsys):
+    """eval and coeffs print the digits of one x-form term-ratio loop: no
+    closed_form, no y-to-x shift, no CompactPell on the way."""
+    argvs = [
+        [command, "--family", family, "--n", str(n), "--format", fmt]
+        for command in ("eval", "coeffs")
+        for family in ("r", "s", "sigma")
+        for n in (0, 1, 2, 3, 40, 699, 700, 701)
+        for fmt in FORMATS
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval or coeffs built a polynomial")
+
+    for name in ("closed_form", "_x_coeffs", "CompactPell"):
+        monkeypatch.setattr(pell, name, forbidden)
+    assert [run(capsys, *argv) for argv in argvs] == expected
 
 
 # Golden outputs, captured from the CLI while Binet, xi and series arithmetic

@@ -19,7 +19,6 @@ from pell3.pell import (
     closed_form_certificate,
     coefficient_digits,
     coefficient_triangle,
-    polynomial,
     recurrence_gen,
     triangle_csv,
 )
@@ -149,27 +148,24 @@ class TestYForm:
         assert recurrence_gen(family, 3001) == closed_form(family, 3001)
 
 
-class TestPolynomial:
-    def test_seed_rows_below_the_closed_form(self):
-        assert polynomial(S, 0).coeffs == () and polynomial(S, 1).coeffs == (2,)
-        assert polynomial(SIGMA, 0).coeffs == (3,)
-
-    def test_closed_form_from_its_minimum(self):
-        for family in FAMILIES.values():
-            for n in range(family.closed_form_min, 40):
-                assert polynomial(family, n) == closed_form(family, n)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            polynomial(R, -1)
-
-
 class TestCoefficientDigits:
-    """Digit strings of polynomial(); large rows are built in Decimal."""
+    """Digit strings of the seed rows below the closed form, of the closed
+    form from there on; large rows are built in Decimal."""
 
     def test_seed_rows(self):
         assert coefficient_digits(S, 0) == [] and coefficient_digits(S, 1) == ["2"]
         assert coefficient_digits(SIGMA, 0) == ["3"] and coefficient_digits(R, 0) == []
+
+    def test_closed_form_from_its_minimum(self):
+        for family in FAMILIES.values():
+            for n in range(family.closed_form_min, 40):
+                assert coefficient_digits(family, n) == [
+                    str(c) for c in closed_form(family, n).coeffs
+                ]
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            coefficient_digits(R, -1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -272,6 +268,20 @@ class TestClosedFormCertificate:
             return CompactPell("r", 3, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
 
         monkeypatch.setattr(pell, "closed_form", off_by_one)
+        found = certificate_failures()
+        assert found["r"] == ["base row 3 differs from the recurrence"]
+        assert found["s"] == found["sigma"] == []
+
+    def test_digits_off_by_one(self, monkeypatch):
+        unperturbed = pell.coefficient_digits
+
+        def off_by_one(family, n):
+            digits = unperturbed(family, n)
+            if (family.name, n) != ("r", 3):
+                return digits
+            return [str(int(digits[0]) + 1)] + digits[1:]
+
+        monkeypatch.setattr(pell, "coefficient_digits", off_by_one)
         found = certificate_failures()
         assert found["r"] == ["base row 3 differs from the recurrence"]
         assert found["s"] == found["sigma"] == []
