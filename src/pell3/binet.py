@@ -19,10 +19,12 @@ with exact equality, no floating point anywhere.
 
 Both the weights and the powers run on integers: at t = p/q, W = sqrt(D)/q
 with the integer D = (q+p)(5q-3p), so 2q*w2, 2q*w3 = (q+p) -+ sqrt(D) and
-2q*w1 = 2(q-p) are integer pairs in Z[sqrt(D)].  The weights are solved once
-per t by Cramer's rule on those pairs and rationalized once, becoming QuadExt
-values only on return; the powers carry one denominator (2q)^n along instead
-of a Fraction per coefficient.
+2q*w1 = 2(q-p) are integer pairs in Z[sqrt(D)].  Each weight is solved once
+per t as its own row of the inverse Vandermonde matrix on those pairs and
+rationalized once, becoming a QuadExt value only on return; the powers carry
+one denominator (2q)^n along instead of a Fraction per coefficient.  The ring
+Z[sqrt(D)] stays inside this module: every W-part it hands out is in units
+of W.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ _SAMPLE_T = {Fraction(p, d) for d in range(2, 13) for p in range(1 - d, d)} - _E
 @dataclass(frozen=True)
 class SubstitutionPoint:
     """The variable chain realized at one rational t:
-    u = t+1, z = (1-t)^2 (1+t), and discriminant d = (1+t)(5-3t)."""
+    z = (1-t)^2 (1+t) and discriminant d = (1+t)(5-3t)."""
 
     t: Fraction
-    u: Fraction
     z: Fraction
     d: Fraction
 
@@ -103,7 +104,6 @@ def substitution_chain(t) -> SubstitutionPoint:
         raise DegenerateParameterError(f"t={t} makes the factor {factor} vanish")
     return SubstitutionPoint(
         t=t,
-        u=t + 1,
         z=(1 - t) ** 2 * (1 + t),
         d=(1 + t) * (5 - 3 * t),
     )
@@ -129,14 +129,19 @@ def roots(point: SubstitutionPoint) -> RootTriple:
 def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoefficients:
     """Solve the 3x3 system sum_i A_i w_i^n = g_n (n = 0, 1, 2) exactly.
 
-    The right-hand side g is the family's z-normalized initial values, so
-    no negative powers of x ever appear.  Row n is scaled by (2q)^n, which
-    turns the Vandermonde entries into the integer pairs (2q*w_i)^n of
-    Z[sqrt(D)] and leaves the solution unchanged.  Cramer's rule then runs
-    on those pairs, one determinant per weight, and the quotients are
-    rationalized once by the conjugate of the Vandermonde determinant.
-    That determinant is a product of root differences, all invertible
-    away from the excluded t.
+    The right-hand side g_n = p_n / x^(n - delta) is the family's
+    z-normalized initial values, so no negative powers of x ever appear.
+    Row n is scaled by (2q)^n, which turns the Vandermonde entries into the
+    integer pairs r_i^n, r_i = 2q*w_i, of Z[sqrt(D)] and the targets into
+    G_n = g_n (2q)^n, leaving the solution unchanged.  Each weight is then
+    its own row of the inverse Vandermonde matrix, for (i, j, k) cyclic:
+
+        A_i = (G_2 - (r_j + r_k) G_1 + r_j r_k G_0) / ((r_i - r_j)(r_i - r_k)),
+
+    rationalized once by the conjugate of its denominator.  The norm of that
+    denominator is a product of -4(q+3p)(q-p) and, for w2 and w3, -4D, all
+    nonzero away from the excluded t.  No weight is taken as the conjugate
+    of another, so the Binet structure of the result is a real check.
     """
     p, q = point.t.numerator, point.t.denominator
     big_d = (q + p) * (5 * q - 3 * p)
@@ -144,27 +149,18 @@ def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoeffic
     def mul(u, v):
         return u[0] * v[0] + u[1] * v[1] * big_d, u[0] * v[1] + u[1] * v[0]
 
-    def det3(c0, c1, c2):
-        # triple product c0 . (c1 x c2); each column holds rows n = 0, 1, 2
-        total_x = total_y = 0
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            x1, y1 = mul(c1[j], c2[k])
-            x2, y2 = mul(c1[k], c2[j])
-            x, y = mul(c0[i], (x1 - x2, y1 - y2))
-            total_x, total_y = total_x + x, total_y + y
-        return total_x, total_y
-
-    # column i is (1, r_i, r_i^2) for the scaled root r_i = 2q*w_i
-    scaled_roots = ((2 * (q - p), 0), (q + p, -1), (q + p, 1))
-    cols = [((1, 0), root, mul(root, root)) for root in scaled_roots]
-    g = [(v * (2 * q) ** n, 0) for n, v in enumerate(family.binet_targets)]
-    det_x, det_y = det3(*cols)
-    conj, norm = (det_x, -det_y), det_x * det_x - big_d * det_y * det_y
+    g0, g1, g2 = (
+        (s[0] << (n - family.delta)) * (2 * q) ** n if s else 0
+        for n, s in enumerate(family.seeds)
+    )
+    r1, r2, r3 = (2 * (q - p), 0), (q + p, -1), (q + p, 1)
     weights = []
-    for j in range(3):
-        replaced = cols.copy()
-        replaced[j] = g
-        x, y = mul(det3(*replaced), conj)
+    for ri, rj, rk in ((r1, r2, r3), (r2, r3, r1), (r3, r1, r2)):
+        px, py = mul(rj, rk)
+        num = (g2 - (rj[0] + rk[0]) * g1 + px * g0, py * g0 - (rj[1] + rk[1]) * g1)
+        dx, dy = mul((ri[0] - rj[0], ri[1] - rj[1]), (ri[0] - rk[0], ri[1] - rk[1]))
+        x, y = mul(num, (dx, -dy))
+        norm = dx * dx - big_d * dy * dy
         # x + y*sqrt(D) with sqrt(D) = q*W
         weights.append(QuadExt(Fraction(x, norm), Fraction(y * q, norm), point.d))
     return BinetCoefficients(family.name, *weights)
@@ -215,12 +211,13 @@ def _sqrt_d_parts(weight, q: int) -> tuple:
 def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
     """Yield integers (r, w, m) for n = 0, 1, 2, ... with
 
-        a*w1^n + b*w2^n + c*w3^n = (r + w*sqrt(D)) / m,
+        a*w1^n + b*w2^n + c*w3^n = (r + w*W) / m,
 
     where t = p/q, D = (q+p)(5q-3p) and m = den*(2q)^n, den being the
     common denominator of the weights' coefficients.  The scaled powers
-    (2q*w1)^n, (2q*w2)^n and (2q*w3)^n are advanced each on its own,
-    never one as the conjugate of another, so w = 0 is a real check.
+    (2q*w1)^n, (2q*w2)^n and (2q*w3)^n are advanced each on its own in
+    Z[sqrt(D)], never one as the conjugate of another, so w = 0 is a real
+    check; the sqrt(D)-part is reported in W through sqrt(D) = qW.
     """
     p, q = point.t.numerator, point.t.denominator
     big_d = (q + p) * (5 * q - 3 * p)
@@ -232,7 +229,7 @@ def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
     while True:
         yield (
             a0 * x1 + b0 * x2 + b1 * y2 * big_d + c0 * x3 + c1 * y3 * big_d,
-            a1 * x1 + b0 * y2 + b1 * x2 + c0 * y3 + c1 * x3,
+            (a1 * x1 + b0 * y2 + b1 * x2 + c0 * y3 + c1 * x3) * q,
             m,
         )
         x1 *= w1
@@ -260,7 +257,7 @@ def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     r, w, m = next(islice(binet_numerators(point, co.a, co.b, co.c), n, None))
     if w:
         raise IdentityViolationError(
-            f"W-part {Fraction(w * point.t.denominator, m)} did not cancel "
+            f"W-part {Fraction(w, m)} did not cancel "
             f"(family {family.name}, n={n}, t={point.t})"
         )
     return Fraction(r, m)
@@ -276,9 +273,8 @@ def radical_cancellation_numerators(point: SubstitutionPoint) -> Iterator[tuple]
     """
     t, d = point.t, point.d
     weights = (0, QuadExt(5 - 3 * t, -3, d), QuadExt(5 - 3 * t, 3, d))
-    q = t.denominator
     for n, (r, w, m) in enumerate(binet_numerators(point, *weights)):
-        yield r, w * q, m >> n
+        yield r, w, m >> n
 
 
 def radical_cancellation(n: int, point: SubstitutionPoint) -> tuple:

@@ -230,7 +230,7 @@ def numeric_demo(family: pell.Family, n_max: int, x: Fraction) -> list:
         for n in range(n_max + 1):
             approx = (weights * roots**n).sum().real
             err = abs(approx - float(exact[n])) / max(1.0, abs(float(exact[n])))
-            rows.append(DemoRow(n, exact[n], approx, err))
+            rows.append(DemoRow(n, exact[n], float(approx), float(err)))
     return rows
 
 

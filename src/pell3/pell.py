@@ -48,11 +48,6 @@ class Family:
     def delta(self) -> int:
         return DELTA[self.name]
 
-    @property
-    def binet_targets(self) -> tuple:
-        """z-normalized initial values p_k / x^(k - delta) for the Binet weights."""
-        return tuple(s[0] << (k - self.delta) if s else 0 for k, s in enumerate(self.seeds))
-
 
 R = Family("r", ((), (1,), (1,)), 0)
 S = Family("s", ((), (2,), (1,)), 2)

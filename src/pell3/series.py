@@ -45,11 +45,6 @@ class RatSeries:
         self.coeffs = tuple(cs)
         self.order = order
 
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k < self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
-
     def _lift(self, other) -> "RatSeries":
         if isinstance(other, RatSeries):
             return other

@@ -171,7 +171,7 @@ def run_roots(
         ):
             if v * w != 1:
                 report.fail(f"v{i} * w{i} != 1", t=t)
-        # w3^n = (r + w*sqrt(D)) / m, and sqrt(D) = qW
+        # w3^n = (r + w*W) / m
         w3_powers = binet.binet_numerators(point, 0, 0, 1)
         p, q = t.numerator, t.denominator
         for n, (r, w, m) in zip(range(max_n + 1), w3_powers):
@@ -179,7 +179,7 @@ def run_roots(
             if num * m != 2 * r * den:
                 report.fail("power-sum p_n differs from extension arithmetic", t=t, n=n)
             num, den = horner_terms(q_polys[n].coeffs, p, q)
-            if num * m != 2 * w * q * den:
+            if num * m != 2 * w * den:
                 report.fail("power-sum q_n differs from extension arithmetic", t=t, n=n)
     return report
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -31,15 +32,16 @@ POINTS = [substitution_chain(t) for t in SAMPLE_TS]
 class TestSubstitutionChain:
     def test_at_zero(self):
         pt = substitution_chain(0)
-        assert (pt.t, pt.u, pt.z, pt.d) == (0, 1, 1, 5)
+        assert (pt.t, pt.z, pt.d) == (0, 1, 5)
 
     def test_at_one_half(self):
         pt = substitution_chain(Fraction(1, 2))
-        assert (pt.u, pt.z, pt.d) == (Fraction(3, 2), Fraction(3, 8), Fraction(21, 4))
+        assert (pt.z, pt.d) == (Fraction(3, 8), Fraction(21, 4))
 
     def test_z_also_factors_through_u(self):
         for pt in POINTS:
-            assert pt.z == pt.u * (pt.u - 2) ** 2
+            u = pt.t + 1
+            assert pt.z == u * (u - 2) ** 2
 
     @pytest.mark.parametrize(
         "t, factor",
@@ -151,6 +153,39 @@ class TestBinetEval:
             binet_eval(R, 0, POINTS[1])
 
 
+def shifted_numerators(dr, dw):
+    """binet.binet_numerators with dr added to r and dw to the W-part w."""
+    numerators = binet.binet_numerators
+
+    def shifted(point, a, b, c):
+        for r, w, m in numerators(point, a, b, c):
+            yield r + dr, w + dw, m
+
+    return shifted
+
+
+class TestWPartUnits:
+    """binet_numerators reports W-parts in units of W; callers take them as is."""
+
+    @pytest.mark.parametrize(
+        "dr, dw, check",
+        [(0, 1, "power-sum q_n differs"), (1, 0, "power-sum p_n differs")],
+    )
+    def test_run_roots_reads_each_part(self, monkeypatch, dr, dw, check):
+        monkeypatch.setattr(binet, "binet_numerators", shifted_numerators(dr, dw))
+        found = {f["check"] for f in verify.run_roots(4, 2, 42).failures}
+        assert found == {f"{check} from extension arithmetic"}
+
+    def test_binet_eval_reports_w_part_in_w(self, monkeypatch):
+        pt, n = POINTS[1], 3
+        co = solve_coefficients(S, pt)
+        r, w, m = list(islice(binet.binet_numerators(pt, co.a, co.b, co.c), n + 1))[n]
+        assert w == 0
+        monkeypatch.setattr(binet, "binet_numerators", shifted_numerators(0, 1))
+        with pytest.raises(IdentityViolationError, match=f"W-part {Fraction(1, m)} did not"):
+            binet_eval(S, n, pt)
+
+
 class TestRadicalCancellation:
     def test_n_zero(self):
         for pt in POINTS:
@@ -241,13 +276,23 @@ def _det3(m):
     )
 
 
+def z_normalized_seeds(family, point):
+    """The Binet targets p_n / x^(n - delta), n <= 2, read off the recurrence."""
+    return tuple(recurrence_gen(family, n).eval_in_z(point.z) for n in range(3))
+
+
+def test_z_normalized_seeds():
+    for pt in POINTS:
+        assert [z_normalized_seeds(f, pt) for f in (R, S, SIGMA)] == [(0, 1, 2), (0, 2, 2), (3, 2, 4)]
+
+
 def quadext_cramer(family, point):
     """Reference solve: Cramer's rule on the unscaled system, all in QuadExt."""
     rt = roots(point)
     one = QuadExt(1, 0, point.d)
     cols = (QuadExt(rt.w1, 0, point.d), rt.w2, rt.w3)
     m = [[one, one, one], list(cols), [w * w for w in cols]]
-    g = [QuadExt(v, 0, point.d) for v in family.binet_targets]
+    g = [QuadExt(v, 0, point.d) for v in z_normalized_seeds(family, point)]
     det = _det3(m)
     return tuple(
         _det3([[g[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]) / det

@@ -247,6 +247,17 @@ class TestNumericDemo:
         assert [int(r["exact"]) for r in rows[:7]] == [0, 1, 2, 4, 9, 20, 44]
         assert all(r["rel_err"] <= 1e-8 for r in rows)
 
+    def test_csv_floats_are_plain_reprs(self, capsys):
+        code, out = run(
+            capsys, "numeric-demo", "--family", "s", "--n-max", "3", "--x", "1/2", "--format", "csv"
+        )
+        assert code == 0
+        assert "np." not in out
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header == ["n", "exact", "binet", "rel_err"] and len(rows) == 4
+        for row in rows:
+            assert all(isinstance(float(field), float) for field in row[2:4])
+
     def test_zero_x_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["numeric-demo", "--family", "r", "--x", "0"])

@@ -27,8 +27,8 @@ class TestInversionSeries:
 
     def test_series_shape(self):
         u = inversion_series(5)
-        assert u.coefficient(0) == 0
-        assert all(u.coefficient(k) > 0 for k in range(1, 6))
+        assert u.coeffs[0] == 0
+        assert all(u.coeffs[k] > 0 for k in range(1, 6))
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
@@ -51,13 +51,13 @@ class TestFirstTermExpansion:
     def test_series_agrees_with_formula(self, n):
         # first_term_series raises IdentityViolationError on any mismatch
         ser = first_term_series(n, 16)
-        assert ser.coefficient(0) == first_term_coefficient(n, 0)
+        assert ser.coeffs[0] == first_term_coefficient(n, 0)
 
     def test_series_keeps_going_past_the_polynomial(self):
         # beyond l = (n-1)/3 the expansion is nonzero: that tail is what
         # the conjugate Binet terms cancel
         ser = first_term_series(4, 8)
-        assert any(ser.coefficient(l) != 0 for l in range(2, 8))
+        assert any(ser.coeffs[l] != 0 for l in range(2, 8))
 
 
 class TestTruncationBridge:
@@ -68,7 +68,7 @@ class TestTruncationBridge:
     def test_sign_map_explicitly(self):
         poly = recurrence_gen(R, 18)
         ser = first_term_series(18, len(poly.coeffs))
-        mapped = [(-1) ** l * ser.coefficient(l) for l in range(len(poly.coeffs))]
+        mapped = [(-1) ** l * ser.coeffs[l] for l in range(len(poly.coeffs))]
         assert mapped == list(poly.coeffs)
 
     def test_index_bound(self):

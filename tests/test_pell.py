@@ -126,9 +126,6 @@ def test_by_name():
 
 def test_family_metadata():
     assert R.delta == 1 and S.delta == 1 and SIGMA.delta == 0
-    assert R.binet_targets == (0, 1, 2)
-    assert S.binet_targets == (0, 2, 2)
-    assert SIGMA.binet_targets == (3, 2, 4)
 
 
 class TestYForm:

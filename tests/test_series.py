@@ -43,9 +43,7 @@ class TestRingOps:
 
     def test_coefficient_access(self):
         a = RatSeries((1, F(1, 2)), 2)
-        assert a.coefficient(1) == F(1, 2)
-        with pytest.raises(IndexError):
-            a.coefficient(2)
+        assert a.coeffs[1] == F(1, 2)
 
 
 class TestReciprocal:
