@@ -9,9 +9,7 @@ sampling seed for the verification sweeps.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -62,11 +60,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _csv_lines(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """CSV text, header first; its ints, Fraction strings and float reprs
+    never hold ',', '"' or a newline, so csv.writer would quote none."""
+    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
 
 
 def _plain_term(exp: int, digits: str) -> str:
@@ -80,20 +76,24 @@ def render_row(command: str, family: pell.Family, n: int, digits: list, fmt: str
     """Stdout of ``eval`` or ``coeffs`` for row n, from the decimal strings
     of its x-coefficients.  ``coeffs`` prints them all by index l; ``eval``
     prints the nonzero ones at exponent n - delta - 3l, highest first (the
-    three families have no negative coefficients)."""
+    three families have no negative coefficients).  The text is assembled
+    directly: digit strings, ints and the family names r, s and sigma need
+    no quoting or escaping, so with json.dumps' separators ", " and ": " it
+    is byte for byte what json.dumps and csv.writer print."""
     if command == "coeffs":
         if fmt == "plain":
             return (" ".join(digits) or "0") + "\n"
         if fmt == "csv":
-            return _csv_lines(["l", "coeff"], enumerate(digits))
-        return json.dumps({"family": family.name, "n": n, "coeffs": digits}) + "\n"
+            return "l,coeff\n" + "".join([f"{l},{d}\n" for l, d in enumerate(digits)])
+        coeffs = ", ".join([f'"{d}"' for d in digits])
+        return f'{{"family": "{family.name}", "n": {n}, "coeffs": [{coeffs}]}}\n'
     terms = [(n - family.delta - 3 * l, d) for l, d in enumerate(digits) if d != "0"]
     if fmt == "plain":
         return ("+".join([_plain_term(e, d) for e, d in terms]) or "0") + "\n"
     if fmt == "csv":
-        return _csv_lines(["exp", "coeff"], terms)
-    json_terms = [{"exp": e, "coeff": d} for e, d in terms]
-    return json.dumps({"family": family.name, "n": n, "terms": json_terms}) + "\n"
+        return "exp,coeff\n" + "".join([f"{e},{d}\n" for e, d in terms])
+    json_terms = ", ".join([f'{{"exp": {e}, "coeff": "{d}"}}' for e, d in terms])
+    return f'{{"family": "{family.name}", "n": {n}, "terms": [{json_terms}]}}\n'
 
 
 def cmd_row(args, parser) -> int:
@@ -103,17 +103,16 @@ def cmd_row(args, parser) -> int:
 
 
 def cmd_triangle(args, parser) -> int:
+    """Rows 0..max-n; json and plain are assembled as in ``render_row``."""
     if args.format == "csv":
         print(pell.triangle_csv(args.family, args.max_n), end="")
-    elif args.format == "plain":
-        for row in pell.coefficient_triangle(args.family, args.max_n):
-            print(" ".join(str(c) for c in row))
+        return EXIT_OK
+    rows = [[str(c) for c in row] for row in pell.coefficient_triangle(args.family, args.max_n)]
+    if args.format == "plain":
+        print("".join([" ".join(row) + "\n" for row in rows]), end="")
     else:
-        rows = [
-            [str(c) for c in row]
-            for row in pell.coefficient_triangle(args.family, args.max_n)
-        ]
-        print(json.dumps({"family": args.family.name, "max_n": args.max_n, "rows": rows}))
+        json_rows = ", ".join(["[" + ", ".join([f'"{c}"' for c in row]) + "]" for row in rows])
+        print(f'{{"family": "{args.family.name}", "max_n": {args.max_n}, "rows": [{json_rows}]}}')
     return EXIT_OK
 
 

@@ -6,12 +6,15 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pell3 import pell
-from pell3.cli import FORMATS, main, plot_rows
+from pell3.cli import FORMATS, _csv_lines, main, plot_rows, render_row
 from pell3.poly import CompactPell
 
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -76,9 +79,25 @@ class TestCoeffsAndTriangle:
         assert json.loads(out) == {"family": "sigma", "max_n": 1, "rows": [["3"], ["2"]]}
 
 
+def route_switch_indices(family: str) -> list:
+    """Every n TestRouteSwitch checks: the small rows, both sides of the
+    decimal crossover, and large rows up to 5000."""
+    first = pell.DECIMAL_MIN_TOP + pell.by_name(family).delta
+    return [*range(41), 399, *range(first - 3, first + 4), 1000, 3000, 3001, 5000]
+
+
 @functools.cache
-def by_recurrence(family: str, n: int) -> CompactPell:
-    return pell.recurrence_gen(pell.by_name(family), n)
+def by_recurrence(family: str) -> dict:
+    """The recurrence's rows at route_switch_indices(family), by n, from one
+    pass of the recurrence per family; rows in between are not kept."""
+    fam = pell.by_name(family)
+    wanted = set(route_switch_indices(family))
+    rows = islice(pell._rows(fam), max(wanted) + 1)
+    return {
+        n: CompactPell(family, n, pell._x_coeffs(fam, n, row))
+        for n, row in enumerate(rows)
+        if n in wanted
+    }
 
 
 def render_poly(poly: CompactPell, fmt: str) -> str:
@@ -87,17 +106,14 @@ def render_poly(poly: CompactPell, fmt: str) -> str:
     if fmt == "plain":
         return poly.to_dense().format_plain()
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["exp", "coeff"])
-        writer.writerows([poly.exponent(l), str(c)] for l, c in enumerate(poly.coeffs) if c)
-        return buf.getvalue()
+        terms = [[poly.exponent(l), str(c)] for l, c in enumerate(poly.coeffs) if c]
+        return csv_text(["exp", "coeff"], terms)
     return json.dumps(poly.to_json_dict())
 
 
 def rendered_by_recurrence(command: str, family: str, n: int, fmt: str) -> str:
     """What ``eval``/``coeffs`` printed while both read the recurrence."""
-    poly = by_recurrence(family, n)
+    poly = by_recurrence(family)[n]
     if command == "eval":
         text = render_poly(poly, fmt)
         return text if text.endswith("\n") else text + "\n"
@@ -118,8 +134,7 @@ class TestRouteSwitch:
     @pytest.mark.parametrize("family", ["r", "s", "sigma"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_byte_identical_to_the_recurrence(self, capsys, command, family, fmt):
-        first = pell.DECIMAL_MIN_TOP + pell.by_name(family).delta
-        for n in [*range(41), 399, *range(first - 3, first + 4), 1000, 3000, 3001, 5000]:
+        for n in route_switch_indices(family):
             code, out = run(capsys, command, "--family", family, "--n", str(n), "--format", fmt)
             assert (code, out) == (0, rendered_by_recurrence(command, family, n, fmt)), n
 
@@ -134,6 +149,103 @@ class TestRouteSwitch:
         assert calls == []
         run(capsys, "triangle", "--family", "s", "--max-n", "4")
         assert calls == ["s"]
+
+
+def encoded_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> str:
+    """``render_row`` as written on json.dumps and csv.writer: the oracle
+    for the text it now assembles itself."""
+    if command == "coeffs":
+        if fmt == "plain":
+            return (" ".join(digits) or "0") + "\n"
+        if fmt == "csv":
+            return csv_text(["l", "coeff"], enumerate(digits))
+        return json.dumps({"family": family.name, "n": n, "coeffs": digits}) + "\n"
+    terms = [(n - family.delta - 3 * l, d) for l, d in enumerate(digits) if d != "0"]
+    if fmt == "plain":
+        x = {0: "", 1: "x"}
+        plain = [(d if e == 0 or d != "1" else "") + x.get(e, f"x^{e}") for e, d in terms]
+        return ("+".join(plain) or "0") + "\n"
+    if fmt == "csv":
+        return csv_text(["exp", "coeff"], terms)
+    json_terms = [{"exp": e, "coeff": d} for e, d in terms]
+    return json.dumps({"family": family.name, "n": n, "terms": json_terms}) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def first_difference(text: str, expected: str):
+    """None if the two are equal, else where they first differ and the 20
+    characters from there on in each; pytest's own diff of two lines of a
+    megabyte runs for minutes."""
+    if text == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), len(expected))
+    return at, text[at : at + 20], expected[at : at + 20]
+
+
+# "0" entries, which eval skips, single digits, and 1,000-digit strings
+DIGIT_STRINGS = st.one_of(
+    st.just("0"),
+    st.integers(1, 9).map(str),
+    st.integers(10, 10**40).map(str),
+    st.integers(10**999, 10**1000 - 1).map(str),
+)
+
+
+class TestAssembledOutput:
+    """eval, coeffs and triangle assemble their json, csv and plain text
+    themselves; it must be byte for byte what the encoders print."""
+
+    @pytest.mark.parametrize("command", ["eval", "coeffs"])
+    @pytest.mark.parametrize("family", list(pell.FAMILIES.values()), ids=list(pell.FAMILIES))
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(0, 20000), digits=st.lists(DIGIT_STRINGS, max_size=40))
+    @example(n=0, digits=[])  # r_0, the empty row
+    @example(n=4, digits=["0", "1"])
+    # r_3000: 1,000 strings of up to 1,029 digits
+    @example(n=3000, digits=pell.coefficient_digits(pell.R, 3000))
+    def test_row_matches_the_encoders(self, command, family, fmt, n, digits):
+        args = command, family, n, digits, fmt
+        assert first_difference(render_row(*args), encoded_row(*args)) is None
+
+    @pytest.mark.parametrize("family", ["r", "s", "sigma"])
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    @pytest.mark.parametrize("max_n", [0, 1, 40])
+    def test_triangle_matches_the_encoders(self, capsys, family, fmt, max_n):
+        rows = pell.coefficient_triangle(pell.by_name(family), max_n)
+        buf = io.StringIO()
+        if fmt == "plain":
+            for row in rows:
+                print(" ".join(str(c) for c in row), file=buf)
+        else:
+            rows = [[str(c) for c in row] for row in rows]
+            print(json.dumps({"family": family, "max_n": max_n, "rows": rows}), file=buf)
+        argv = ["triangle", "--family", family, "--max-n", str(max_n), "--format", fmt]
+        assert run(capsys, *argv) == (0, buf.getvalue())
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(st.integers(), st.fractions().map(str), st.floats().map(repr)),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=8,
+        )
+    )
+    def test_csv_lines_match_csv_writer(self, rows):
+        """series, plot-data and numeric-demo print ints, Fraction strings
+        and float reprs."""
+        header = ["n", "exact", "binet", "rel_err"]
+        assert _csv_lines(header, rows) == csv_text(header, rows)
 
 
 class TestSeries:
