@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     def add_format(p, default="json"):
@@ -366,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # r_n passes 4300 digits from n ~ 14287
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.func(args, args.parser)
 
 
 if __name__ == "__main__":
