@@ -500,6 +500,18 @@ def test_rows_never_build_a_polynomial(monkeypatch, capsys):
 # coeffs printed str() of ints; the code must still print them byte for byte.
 GOLDEN = Path(__file__).parent / "golden" / "cli_transcript.jsonl"
 TRANSCRIPT = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+# The 60 entries converted from the former binet.jsonl replay as test_binet
+# under their former case ids, in the former case order; the rest replay as
+# test_cli_transcript. Each entry replays once.
+BINET_ARGV = [
+    ("binet", "--family", family, "--n", str(n), f"--t={t}")
+    for family in ("r", "s", "sigma")
+    for n in (0, 1, 2, 17, 80)
+    for t in ("0", "1/2", "-5/7", "11/12")
+]
+BY_ARGV = {tuple(entry["argv"]): entry for entry in TRANSCRIPT}
+BINET_ENTRIES = [BY_ARGV[argv] for argv in BINET_ARGV]
+OTHER_ENTRIES = [entry for entry in TRANSCRIPT if entry not in BINET_ENTRIES]
 
 
 def transcript_difference(entry: dict, stdout: str, code: int):
@@ -515,15 +527,26 @@ def transcript_difference(entry: dict, stdout: str, code: int):
     return at and "stdout differs at offset %d: %r, expected %r" % at
 
 
+def replay(capsys, monkeypatch, entry: dict):
+    """One transcript entry's run through ``main``, compared as CI compares it."""
+    monkeypatch.delenv("PELL3_SEED", raising=False)
+    try:
+        code = main(entry["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    assert transcript_difference(entry, capsys.readouterr().out, code) is None
+
+
 class TestGoldenOutput:
-    @pytest.mark.parametrize("entry", TRANSCRIPT, ids=lambda e: " ".join(e["argv"]) or "no-args")
+    @pytest.mark.parametrize("entry", OTHER_ENTRIES, ids=lambda e: " ".join(e["argv"]) or "no-args")
     def test_cli_transcript(self, capsys, monkeypatch, entry):
-        monkeypatch.delenv("PELL3_SEED", raising=False)
-        try:
-            code = main(entry["argv"])
-        except SystemExit as exc:
-            code = exc.code
-        assert transcript_difference(entry, capsys.readouterr().out, code) is None
+        replay(capsys, monkeypatch, entry)
+
+    @pytest.mark.parametrize(
+        "entry", BINET_ENTRIES, ids=[f"case{i}-{e['stdout']}" for i, e in enumerate(BINET_ENTRIES)]
+    )
+    def test_binet(self, capsys, monkeypatch, entry):
+        replay(capsys, monkeypatch, entry)
 
     def test_transcript_is_well_formed(self):
         """Unique argv, one kind of expected stdout each, and an exit-0 run of
