@@ -103,27 +103,32 @@ def cmd_row(args, parser) -> int:
 
 
 def cmd_triangle(args, parser) -> int:
-    """Rows 0..max-n; json and plain are assembled as in ``render_row``."""
+    """Rows 0..max-n; json and plain are assembled as in ``render_row``,
+    each row by one %-template as in ``pell.triangle_csv``."""
     if args.format == "csv":
         print(pell.triangle_csv(args.family, args.max_n), end="")
         return EXIT_OK
-    rows = [[str(c) for c in row] for row in pell.coefficient_triangle(args.family, args.max_n)]
+    rows = pell.coefficient_triangle(args.family, args.max_n)
     if args.format == "plain":
-        print("".join([" ".join(row) + "\n" for row in rows]), end="")
+        print("".join([(" ".join(["%d"] * len(row)) + "\n") % row for row in rows]), end="")
     else:
-        json_rows = ", ".join(["[" + ", ".join([f'"{c}"' for c in row]) + "]" for row in rows])
+        json_rows = ", ".join([("[" + ", ".join(['"%d"'] * len(row)) + "]") % row for row in rows])
         print(f'{{"family": "{args.family.name}", "max_n": {args.max_n}, "rows": [{json_rows}]}}')
     return EXIT_OK
 
 
 def cmd_series(args, parser) -> int:
-    coeffs = [str(lagrange.inversion_coefficient(n)) for n in range(1, args.order + 1)]
+    """Coefficients 1..order as num/den in lowest terms, which is str() of
+    their Fraction (the denominator is never 1), assembled as in
+    ``render_row``."""
+    terms = [lagrange.inversion_lowest_terms(n) for n in range(1, args.order + 1)]
     if args.format == "plain":
-        print("\n".join(coeffs))
+        print("".join(["%d/%d\n" % t for t in terms]), end="")
     elif args.format == "csv":
-        print(_csv_lines(["n", "coeff"], list(enumerate(coeffs, start=1))), end="")
+        rows = ["%d,%d/%d\n" % (n, *t) for n, t in enumerate(terms, start=1)]
+        print("n,coeff\n" + "".join(rows), end="")
     else:
-        print(json.dumps(coeffs))
+        print("[" + ", ".join(['"%d/%d"' % t for t in terms]) + "]")
     return EXIT_OK
 
 

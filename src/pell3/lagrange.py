@@ -47,11 +47,24 @@ def _zeta_series(order: int) -> list:
     return [0] + [_zeta_coefficient(n) for n in range(1, order)]
 
 
-def inversion_coefficient(n: int) -> Fraction:
-    """Coefficient of z^n in u(z), from the closed formula; n >= 1."""
+def inversion_lowest_terms(n: int) -> tuple:
+    """(numerator, denominator) of the coefficient of z^n in u(z), from the
+    closed formula, in lowest terms; n >= 1.
+
+    The coefficient is b / 2^(3n-1) with b = C(3n-2, n-1)/n, so it is
+    reduced by shifting out b's trailing zero bits.  As b < 2^(3n-2), the
+    denominator left is at least 4.
+    """
     if n < 1:
         raise ValueError(f"coefficient index must be >= 1, got {n}")
-    return Fraction(_zeta_coefficient(n), 1 << (3 * n - 1))
+    b = _zeta_coefficient(n)
+    zeros = (b & -b).bit_length() - 1
+    return b >> zeros, 1 << (3 * n - 1 - zeros)
+
+
+def inversion_coefficient(n: int) -> Fraction:
+    """Coefficient of z^n in u(z), from the closed formula; n >= 1."""
+    return Fraction(*inversion_lowest_terms(n))
 
 
 def inversion_series(order: int) -> RatSeries:

@@ -201,12 +201,20 @@ def coefficient_triangle(family: Family, max_n: int) -> list:
 
 def triangle_csv(family: Family, max_n: int) -> str:
     """Triangle as CSV with header ``n,l,coeff``; coefficients are decimal
-    strings since they outgrow machine words quickly."""
+    strings since they outgrow machine words quickly.
+
+    Each row is printed by one %-template of its lines ``n,l,%d``: %d
+    writes an int's digits straight into the result, with no str made per
+    coefficient.
+    """
+    rows = coefficient_triangle(family, max_n)
+    labels = [f"{l}," for l in range(len(rows[-1]))]  # rows never shrink
     buf = io.StringIO()
     buf.write("n,l,coeff\n")
-    for n, row in enumerate(coefficient_triangle(family, max_n)):
-        head = f"{n},"
-        buf.write("".join([f"{head}{l},{c}\n" for l, c in enumerate(row)]))
+    for n, row in enumerate(rows):
+        if row:
+            head = f"{n},"
+            buf.write((head + ("%d\n" + head).join(labels[: len(row)]) + "%d\n") % row)
     return buf.getvalue()
 
 

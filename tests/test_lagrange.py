@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb as binomial
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from pell3.lagrange import (
     first_term_numerators,
     first_term_series,
     inversion_coefficient,
+    inversion_lowest_terms,
     inversion_series,
     radius_estimate,
     truncation_bridge,
@@ -39,6 +41,16 @@ class TestInversionSeries:
     @pytest.mark.parametrize("order", [1, 8, 64])
     def test_composition_oracle(self, order):
         verify_inversion(order)
+
+    def test_lowest_terms_match_the_term_ratio(self):
+        """u_n = b_n / 2^(3n-1), where b_1 = 1 and b_(n+1)/b_n is
+        (3n+1)(3n)(3n-1) / ((n+1)(2n+1)(2n)): no binomial is evaluated."""
+        b = Fraction(1)
+        for n in range(1, 301):
+            num, den = inversion_lowest_terms(n)
+            assert gcd(num, den) == 1
+            assert Fraction(num, den) == b / 2 ** (3 * n - 1)
+            b = b * (3 * n + 1) * (3 * n) * (3 * n - 1) / ((n + 1) * (2 * n + 1) * (2 * n))
 
 
 class TestFirstTermExpansion:
