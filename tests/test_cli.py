@@ -370,6 +370,11 @@ class TestPlotData:
         assert len(lines) == 4
         assert float(lines[-1].split(",")[1]) == pytest.approx(32 / 27)
 
+    def test_bad_range_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot-data", "--from", "1", "--to", "0", "--steps", "3"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_past_float_range_is_usage_error(self, capsys, fmt):
         code = main(["plot-data", "--from", "0", "--to", "1e400", "--steps", "2", "--format", fmt])
@@ -398,6 +403,11 @@ class TestNumericDemo:
         assert header == ["n", "exact", "binet", "rel_err"] and len(rows) == 4
         for row in rows:
             assert all(isinstance(float(field), float) for field in row[2:4])
+
+    def test_zero_x_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["numeric-demo", "--family", "r", "--x", "0"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("fmt", ["json", "plain"])
     def test_past_float_range_is_usage_error(self, capsys, fmt):
