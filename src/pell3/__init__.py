@@ -6,46 +6,4 @@ sums, and Binet formulas evaluated in a quadratic extension field -- with
 every cross-identity machine-verified in exact rational arithmetic.
 """
 
-from .binet import (
-    BinetCoefficients,
-    DegenerateParameterError,
-    RootTriple,
-    SubstitutionPoint,
-    binet_eval,
-    char_root_residuals,
-    closed_form_coefficients,
-    power_sums,
-    radical_cancellation,
-    radical_cancellation_binomial,
-    roots,
-    sample_points,
-    solve_coefficients,
-    substitution_chain,
-)
-from .exactnum import FieldMismatchError, IdentityViolationError, QuadExt, gen_binomial
-from .lagrange import (
-    first_term_coefficient,
-    first_term_series,
-    inversion_coefficient,
-    inversion_series,
-    radius_estimate,
-    truncation_bridge,
-    verify_inversion,
-)
-from .pell import (
-    FAMILIES,
-    R,
-    S,
-    SIGMA,
-    ClosedFormRangeError,
-    Family,
-    by_name,
-    closed_form,
-    coefficient_triangle,
-    recurrence_gen,
-    triangle_csv,
-)
-from .poly import CompactPell, DensePoly
-from .series import CompositionError, NonUnitError, RatSeries
-
 __version__ = "0.1.0"

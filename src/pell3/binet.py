@@ -86,7 +86,6 @@ class BinetCoefficients:
     """Weights of w1^n, w2^n, w3^n in a family's Binet combination.
     b and c are conjugates; a is rational."""
 
-    family: str
     a: QuadExt
     b: QuadExt
     c: QuadExt
@@ -163,7 +162,7 @@ def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoeffic
         norm = dx * dx - big_d * dy * dy
         # x + y*sqrt(D) with sqrt(D) = q*W
         weights.append(QuadExt(Fraction(x, norm), Fraction(y * q, norm), point.d))
-    return BinetCoefficients(family.name, *weights)
+    return BinetCoefficients(*weights)
 
 
 def closed_form_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoefficients:
@@ -197,8 +196,8 @@ def closed_form_coefficients(family: Family, point: SubstitutionPoint) -> BinetC
         )
     else:
         one = QuadExt(1, 0, d)
-        return BinetCoefficients(family.name, one, one, one)
-    return BinetCoefficients(family.name, a, b, b.conjugate())
+        return BinetCoefficients(one, one, one)
+    return BinetCoefficients(a, b, b.conjugate())
 
 
 def _sqrt_d_parts(weight, q: int) -> tuple:

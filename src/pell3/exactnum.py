@@ -143,6 +143,3 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
-
-    def __str__(self):
-        return f"{self.a} + {self.b}*W"

@@ -181,10 +181,12 @@ class CompactPell:
         coeffs: dict[int, int] = {}
         for term in obj["terms"]:
             exp, c = term["exp"], int(term["coeff"])
-            step = n - delta - exp
-            if step < 0 or step % 3:
+            l, off = divmod(n - delta - exp, 3)
+            if l < 0 or off:
                 raise ValueError(f"exponent {exp} is off the grid for n={n}")
-            coeffs[step // 3] = c
+            if l in coeffs:
+                raise ValueError(f"exponent {exp} appears twice")
+            coeffs[l] = c
         if not coeffs:
             return cls(family, n, ())
         out = [coeffs.get(l, 0) for l in range(max(coeffs) + 1)]

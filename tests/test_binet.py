@@ -145,7 +145,7 @@ class TestBinetEval:
         def shifted(family, point):
             co = solve(family, point)
             w = QuadExt(0, 1, point.d)
-            return BinetCoefficients(family.name, co.a + w, co.b - w, co.c)
+            return BinetCoefficients(co.a + w, co.b - w, co.c)
 
         solve = solve_coefficients
         monkeypatch.setattr(binet, "solve_coefficients", shifted)

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pell3 import lagrange, pell
+from pell3 import binet, lagrange, pell
+from pell3.binet import BinetCoefficients
 from pell3.cli import FORMATS, _csv_lines, build_parser, main, plot_rows, render_row
+from pell3.exactnum import QuadExt
 from pell3.poly import CompactPell
 
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -336,6 +338,16 @@ class TestVerify:
         )
         assert out_env == out_flag
 
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        numerator = binet.radical_binomial_numerator
+        monkeypatch.setattr(
+            binet, "radical_binomial_numerator", lambda n, p, q: numerator(n, p, q) + 1
+        )
+        code, out = run(capsys, "verify", "--suite", "xi", "--max-n", "5", "--t-samples", "2")
+        assert code == 1
+        failures = json.loads(out)[0]["failures"]
+        assert failures and all(f["check"] == "scalar differs from binomial sum" for f in failures)
+
 
 class TestBinetCommand:
     def test_match(self, capsys):
@@ -348,6 +360,27 @@ class TestBinetCommand:
         with pytest.raises(SystemExit) as exc:
             main(["binet", "--family", "r", "--n", "3", "--t", "1"])
         assert exc.value.code == 2
+
+    def test_broken_weight_structure_exits_one(self, capsys, monkeypatch):
+        # moving W from B to A, as in test_binet's test_broken_weight_structure_raises
+        solve = binet.solve_coefficients
+
+        def shifted(family, point):
+            co = solve(family, point)
+            w = QuadExt(0, 1, point.d)
+            return BinetCoefficients(co.a + w, co.b - w, co.c)
+
+        monkeypatch.setattr(binet, "solve_coefficients", shifted)
+        code, out = run(capsys, "binet", "--family", "r", "--n", "5", "--t=1/2")
+        assert code == 1
+        assert "conj" in json.loads(out)["error"]
+
+    def test_recurrence_mismatch_exits_one(self, capsys, monkeypatch):
+        recurrence = pell.recurrence_gen
+        monkeypatch.setattr(pell, "recurrence_gen", lambda family, n: recurrence(family, n + 3))
+        code, out = run(capsys, "binet", "--family", "r", "--n", "5", "--t=1/2")
+        assert code == 1
+        assert json.loads(out)["matches_recurrence"] is False
 
 
 class TestPlotData:
@@ -442,6 +475,18 @@ class TestBench:
         code, out = run(capsys, "bench", "--family", "sigma", "--n", "1")
         assert code == 0
         assert json.loads(out)["equal"] is True
+
+    def test_unequal_routes_exit_one(self, capsys, monkeypatch):
+        closed_form = pell.closed_form
+
+        def off_by_one(family, n):
+            poly = closed_form(family, n)
+            return CompactPell(poly.family, n, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
+
+        monkeypatch.setattr(pell, "closed_form", off_by_one)
+        code, out = run(capsys, "bench", "--family", "r", "--n", "10")
+        assert code == 1
+        assert json.loads(out)["equal"] is False
 
 
 def test_missing_command_is_usage_error():

@@ -119,6 +119,11 @@ class TestCompactPell:
                 {"family": "r", "n": 4, "terms": [{"exp": 2, "coeff": "1"}]}
             )
 
+    def test_json_rejects_repeated_exponent(self):
+        terms = [{"exp": 3, "coeff": "5"}, {"exp": 3, "coeff": "8"}, {"exp": 0, "coeff": "1"}]
+        with pytest.raises(ValueError, match="exponent 3"):
+            CompactPell.from_json_dict({"family": "r", "n": 4, "terms": terms})
+
     def test_coefficients_exceeding_machine_words(self):
         p = recurrence_gen(R, 200)
         assert p.coeffs[0] == 2**199

@@ -47,7 +47,7 @@ class TestMutationsAreCaught:
         def perturbed(family, point):
             co = solve(family, point)
             b = co.b + QuadExt(0, Fraction(1, 7), point.d)
-            return BinetCoefficients(co.family, co.a, b, co.c)
+            return BinetCoefficients(co.a, b, co.c)
 
         monkeypatch.setattr(binet, "solve_coefficients", perturbed)
         found = checks(verify.run_binet(max_n=6, t_samples=3, seed=42))
@@ -62,7 +62,7 @@ class TestMutationsAreCaught:
         def perturbed(family, point):
             co = solve(family, point)
             a = co.a + QuadExt(0, Fraction(1, 7), point.d)
-            return BinetCoefficients(co.family, a, co.b, co.c)
+            return BinetCoefficients(a, co.b, co.c)
 
         monkeypatch.setattr(binet, "solve_coefficients", perturbed)
         found = checks(verify.run_binet(max_n=6, t_samples=3, seed=42))
