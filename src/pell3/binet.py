@@ -148,10 +148,7 @@ def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoeffic
     def mul(u, v):
         return u[0] * v[0] + u[1] * v[1] * big_d, u[0] * v[1] + u[1] * v[0]
 
-    g0, g1, g2 = (
-        (s[0] << (n - family.delta)) * (2 * q) ** n if s else 0
-        for n, s in enumerate(family.seeds)
-    )
+    g0, g1, g2 = (s[0] * (2 * q) ** n if s else 0 for n, s in enumerate(family.seeds))
     r1, r2, r3 = (2 * (q - p), 0), (q + p, -1), (q + p, 1)
     weights = []
     for ri, rj, rk in ((r1, r2, r3), (r2, r3, r1), (r3, r1, r2)):

@@ -221,7 +221,7 @@ def numeric_demo(family: pell.Family, n_max: int, x: Fraction) -> list:
     """
     import numpy as np
 
-    seeds = [p.to_dense()(x) for p in (pell.recurrence_gen(family, n) for n in range(3))]
+    seeds = [sum(c * x ** (n - family.delta) for c in s) for n, s in enumerate(family.seeds)]
     exact = list(seeds)
     for n in range(3, n_max + 1):
         exact.append(2 * x * exact[n - 1] + exact[n - 3])
@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, parser=p)
         return p
 
-    def add_format(p, default="json"):
-        p.add_argument("--format", choices=FORMATS, default=default)
+    def add_format(p):
+        p.add_argument("--format", choices=FORMATS, default="json")
 
     p = command("eval", cmd_row, "print a family polynomial")
     p.add_argument("--family", type=_family, required=True)

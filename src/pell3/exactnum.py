@@ -25,18 +25,15 @@ def gen_binomial(m: int, k: int) -> int:
     """Generalized binomial coefficient C(m, k) for any integer m, k >= 0.
 
     Defined through the falling factorial, m(m-1)...(m-k+1)/k!, so the
-    upper index may be negative; e.g. C(-1, k) = (-1)**k.  For
-    0 <= m < k the product contains a zero factor and the result is 0.
+    upper index may be negative; e.g. C(-1, k) = (-1)**k.  For 0 <= m < k
+    the product has a zero factor and the result is 0; for m < 0, upper
+    negation turns it into (-1)**k C(k-m-1, k).
     """
     if k < 0:
         raise ValueError(f"lower index must be nonnegative, got {k}")
     if m >= 0:
         return math.comb(m, k)
-    num = 1
-    for i in range(k):
-        num *= m - i
-    # k consecutive integers always carry a factor of k!, so this is exact
-    return num // math.factorial(k)
+    return (-1) ** k * math.comb(k - m - 1, k)
 
 
 class QuadExt:

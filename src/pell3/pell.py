@@ -34,10 +34,9 @@ class ClosedFormRangeError(ValueError):
 
 @dataclass(frozen=True)
 class Family:
-    """A family tag: initial values p_0, p_1, p_2 as compact y-coefficients
-    (y = 2x), and the smallest index served by the closed form.  Seeds
-    below ``closed_form_min`` sit at exponent 0, where y- and x-form agree;
-    callers serve those seed rows there.
+    """A family tag: initial values p_0, p_1, p_2 as compact x-coefficients,
+    as the paper prints them, and the smallest index served by the closed
+    form; callers serve the seed rows below it.
     """
 
     name: str
@@ -49,9 +48,9 @@ class Family:
         return DELTA[self.name]
 
 
-R = Family("r", ((), (1,), (1,)), 0)
-S = Family("s", ((), (2,), (1,)), 2)
-SIGMA = Family("sigma", ((3,), (1,), (1,)), 1)
+R = Family("r", ((), (1,), (2,)), 0)
+S = Family("s", ((), (2,), (2,)), 2)
+SIGMA = Family("sigma", ((3,), (2,), (4,)), 1)
 
 FAMILIES = {"r": R, "s": S, "sigma": SIGMA}
 
@@ -69,9 +68,11 @@ def _rows(family: Family) -> Iterator[Sequence[int]]:
     Multiplying by y keeps every compact coefficient in its slot; adding
     p_{n-3} lands one slot further down (its exponents sit 3 lower), so
     a_n[l] = a_{n-1}[l] + a_{n-3}[l-1] and the window costs O(n) integers.
+    Each seed holds one coefficient at most, at exponent n - delta.
     """
-    yield from family.seeds
-    prev3, prev2, prev1 = family.seeds
+    seeds = [[c >> (n - family.delta) for c in s] for n, s in enumerate(family.seeds)]
+    yield from seeds
+    prev3, prev2, prev1 = seeds
     while True:
         row = list(map(add, chain(prev1, (0,)), chain((0,), prev3)))
         yield row

@@ -89,10 +89,7 @@ class DensePoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def format_plain(self, var: str = "x") -> str:
+    def format_plain(self) -> str:
         """Render in descending exponents, e.g. ``131072x^17+...+84x^2``."""
         if not self.coeffs:
             return "0"
@@ -105,7 +102,7 @@ class DensePoly:
             if exp == 0:
                 body = str(mag)
             else:
-                xs = var if exp == 1 else f"{var}^{exp}"
+                xs = "x" if exp == 1 else f"x^{exp}"
                 body = xs if mag == 1 else f"{mag}{xs}"
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
@@ -177,15 +174,18 @@ class CompactPell:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompactPell":
         family, n = obj["family"], obj["n"]
-        delta = DELTA[family]
+        if family not in DELTA:
+            raise ValueError(f"unknown family {family!r}")
         coeffs: dict[int, int] = {}
         for term in obj["terms"]:
             exp, c = term["exp"], int(term["coeff"])
-            l, off = divmod(n - delta - exp, 3)
+            l, off = divmod(n - DELTA[family] - exp, 3)
             if l < 0 or off:
                 raise ValueError(f"exponent {exp} is off the grid for n={n}")
             if l in coeffs:
                 raise ValueError(f"exponent {exp} appears twice")
+            if c == 0:
+                raise ValueError(f"exponent {exp} has a zero coefficient")
             coeffs[l] = c
         if not coeffs:
             return cls(family, n, ())

@@ -156,21 +156,18 @@ def run_roots(
             if residual != 0:
                 report.fail(f"root {name} residual nonzero", t=t)
         rt = binet.roots(point)
-        if rt.w2 + rt.w3 != 1 + t:
-            report.fail("w2 + w3 != 1+t", t=t)
-        if rt.w2 * rt.w3 != t * t - 1:
-            report.fail("w2 * w3 != t^2-1", t=t)
-        if rt.w1 * rt.w2 * rt.w3 != -point.z:
-            report.fail("w1*w2*w3 != -z", t=t)
-        if rt.v2 + rt.v3 != Fraction(1) / (t - 1):
-            report.fail("v2 + v3 != 1/(t-1)", t=t)
-        if rt.v2 * rt.v3 != Fraction(1) / (t * t - 1):
-            report.fail("v2 * v3 != 1/(t^2-1)", t=t)
-        for i, (v, w) in enumerate(
-            ((rt.v1, rt.w1), (rt.v2, rt.w2), (rt.v3, rt.w3)), start=1
+        for check, lhs, rhs in (
+            ("w2 + w3 != 1+t", rt.w2 + rt.w3, 1 + t),
+            ("w2 * w3 != t^2-1", rt.w2 * rt.w3, t * t - 1),
+            ("w1*w2*w3 != -z", rt.w1 * rt.w2 * rt.w3, -point.z),
+            ("v2 + v3 != 1/(t-1)", rt.v2 + rt.v3, Fraction(1) / (t - 1)),
+            ("v2 * v3 != 1/(t^2-1)", rt.v2 * rt.v3, Fraction(1) / (t * t - 1)),
+            ("v1 * w1 != 1", rt.v1 * rt.w1, 1),
+            ("v2 * w2 != 1", rt.v2 * rt.w2, 1),
+            ("v3 * w3 != 1", rt.v3 * rt.w3, 1),
         ):
-            if v * w != 1:
-                report.fail(f"v{i} * w{i} != 1", t=t)
+            if lhs != rhs:
+                report.fail(check, t=t)
         # w3^n = (r + w*W) / m
         w3_powers = binet.binet_numerators(point, 0, 0, 1)
         p, q = t.numerator, t.denominator

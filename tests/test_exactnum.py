@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,14 @@ class TestGenBinomial:
                 assert gen_binomial(3 * l - n, l) == (-1) ** l * gen_binomial(
                     n - 2 * l - 1, l
                 )
+
+    def test_matches_the_falling_factorial(self):
+        for m in range(-40, 41):
+            for k in range(41):
+                num = 1
+                for i in range(k):
+                    num *= m - i
+                assert gen_binomial(m, k) == num // math.factorial(k)
 
     @given(st.integers(-40, 40), st.integers(0, 12))
     def test_pascal_rule(self, m, k):

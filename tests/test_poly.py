@@ -119,6 +119,17 @@ class TestCompactPell:
                 {"family": "r", "n": 4, "terms": [{"exp": 2, "coeff": "1"}]}
             )
 
+    def test_json_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'q'"):
+            CompactPell.from_json_dict({"family": "q", "n": 1, "terms": []})
+
+    def test_json_rejects_zero_term(self):
+        # to_json_dict never writes a zero term; a parsed (0,) would differ from ()
+        with pytest.raises(ValueError, match="exponent 3"):
+            CompactPell.from_json_dict(
+                {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": "0"}]}
+            )
+
     def test_json_rejects_repeated_exponent(self):
         terms = [{"exp": 3, "coeff": "5"}, {"exp": 3, "coeff": "8"}, {"exp": 0, "coeff": "1"}]
         with pytest.raises(ValueError, match="exponent 3"):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,34 @@ class TestMutationsAreCaught:
         monkeypatch.setattr(binet, "comb", lambda n, k: comb(n, k) + (k == 1))
         found = checks(verify.run_xi(max_n=6, t_samples=3, seed=42))
         assert found == {"scalar differs from binomial sum"}
+
+    @pytest.mark.parametrize(
+        "root, failed",
+        [
+            (
+                "v2",
+                [
+                    "root v2 residual nonzero",
+                    "v2 + v3 != 1/(t-1)",
+                    "v2 * v3 != 1/(t^2-1)",
+                    "v2 * w2 != 1",
+                ],
+            ),
+            ("w1", ["root w1 residual nonzero", "w1*w2*w3 != -z", "v1 * w1 != 1"]),
+        ],
+    )
+    def test_perturbed_root_fails_its_identities_in_order(self, monkeypatch, root, failed):
+        roots = binet.roots
+
+        def perturbed(point):
+            rt = roots(point)
+            return replace(rt, **{root: getattr(rt, root) + Fraction(1, 7)})
+
+        monkeypatch.setattr(binet, "roots", perturbed)
+        report = verify.run_roots(max_n=4, t_samples=2, seed=42)
+        assert [(f["t"], f["check"]) for f in report.failures] == [
+            (t, check) for t in ("-2/3", "1/2") for check in failed
+        ]
 
 
 #: t on and off the sample grid, beyond 5/3 (D < 0) included
