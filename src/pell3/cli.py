@@ -2,8 +2,7 @@
 
 Subcommands: eval, coeffs, triangle, series, verify, binet, plot-data,
 numeric-demo, bench.  Exit codes: 0 on success, 1 when an identity check
-fails, 2 on usage errors.  The env var PELL3_SEED overrides the default
-sampling seed for the verification sweeps.
+fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -60,9 +58,19 @@ def _rational(text: str) -> Fraction:
 
 
 def _csv_lines(header, rows) -> str:
-    """CSV text, header first; its ints, Fraction strings and float reprs
-    never hold ',', '"' or a newline, so csv.writer would quote none."""
+    """CSV text, header first; its ints, Fraction strings and floats (whose
+    str is their repr) never hold ',', '"' or a newline, so csv.writer would
+    quote none."""
     return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
+
+
+def _print_records(fmt: str, header: list, rows: list) -> None:
+    """The float tables of plot-data and numeric-demo: json prints one
+    object per row, keyed by the header, and csv the rows under it."""
+    if fmt == "json":
+        print(json.dumps([dict(zip(header, row)) for row in rows]))
+    else:
+        print(_csv_lines(header, rows), end="")
 
 
 def _plain_term(exp: int, digits: str) -> str:
@@ -133,12 +141,6 @@ def cmd_series(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.seed is None:
-        raw = os.environ.get("PELL3_SEED", str(verify.DEFAULT_SEED))
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            parser.error(f"PELL3_SEED is not an integer: {raw!r}")
     try:
         reports = verify.run_suite(args.suite, args.max_n, args.t_samples, args.seed)
     except ValueError as exc:
@@ -194,10 +196,7 @@ def cmd_plot_data(args, parser) -> int:
         rows = [(float(u), float(z)) for u, z in plot_rows(args.lo, args.hi, args.steps)]
     except OverflowError:
         return _float_range_error("plot-data", "narrow --from/--to")
-    if args.format == "json":
-        print(json.dumps([{"u": u, "z": z} for u, z in rows]))
-    else:
-        print(_csv_lines(["u", "z"], [[repr(u), repr(z)] for u, z in rows]), end="")
+    _print_records(args.format, ["u", "z"], rows)
     return EXIT_OK
 
 
@@ -254,23 +253,9 @@ def cmd_numeric_demo(args, parser) -> int:
         print(f"{'n':>4} {'exact':>24} {'float-binet':>24} {'rel-err':>12}")
         for row in rows:
             print(f"{row.n:>4} {str(row.exact):>24} {row.approx:>24.12g} {row.rel_err:>12.3e}")
-    elif args.format == "csv":
-        print(
-            _csv_lines(
-                ["n", "exact", "binet", "rel_err"],
-                [[r.n, str(r.exact), repr(r.approx), repr(r.rel_err)] for r in rows],
-            ),
-            end="",
-        )
     else:
-        print(
-            json.dumps(
-                [
-                    {"n": r.n, "exact": str(r.exact), "binet": r.approx, "rel_err": r.rel_err}
-                    for r in rows
-                ]
-            )
-        )
+        records = [(r.n, str(r.exact), r.approx, r.rel_err) for r in rows]
+        _print_records(args.format, ["n", "exact", "binet", "rel_err"], records)
     return EXIT_OK
 
 
@@ -318,15 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=FORMATS, default="json")
 
-    p = command("eval", cmd_row, "print a family polynomial")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--n", type=_nonneg, required=True)
-    add_format(p)
-
-    p = command("coeffs", cmd_row, "print compact coefficients")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--n", type=_nonneg, required=True)
-    add_format(p)
+    row_help = {"eval": "print a family polynomial", "coeffs": "print compact coefficients"}
+    for name, text in row_help.items():
+        p = command(name, cmd_row, text)
+        p.add_argument("--family", type=_family, required=True)
+        p.add_argument("--n", type=_nonneg, required=True)
+        add_format(p)
 
     p = command("triangle", cmd_triangle, "coefficient triangle rows 0..max-n")
     p.add_argument("--family", type=_family, required=True)
@@ -341,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--max-n", type=_nonneg, default=None)
     p.add_argument("--t-samples", type=_positive, default=verify.DEFAULT_T_SAMPLES)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
     p = command("binet", cmd_binet, "evaluate one Binet combination exactly")
     p.add_argument("--family", type=_family, required=True)
@@ -349,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_rational, required=True)
 
     p = command("plot-data", cmd_plot_data, "samples of z = u(u-2)^2")
-    p.add_argument("--curve", choices=("z-of-u",), default="z-of-u")
     p.add_argument("--from", dest="lo", type=_rational, required=True)
     p.add_argument("--to", dest="hi", type=_rational, required=True)
     p.add_argument("--steps", type=_positive, required=True)

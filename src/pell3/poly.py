@@ -173,11 +173,16 @@ class CompactPell:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompactPell":
-        family, n = obj["family"], obj["n"]
+        try:
+            family, n, terms = obj["family"], obj["n"], obj["terms"]
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
         if family not in DELTA:
             raise ValueError(f"unknown family {family!r}")
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
         coeffs: dict[int, int] = {}
-        for term in obj["terms"]:
+        for term in terms:
             exp, c = term["exp"], int(term["coeff"])
             l, off = divmod(n - DELTA[family] - exp, 3)
             if l < 0 or off:

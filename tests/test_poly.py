@@ -130,6 +130,14 @@ class TestCompactPell:
                 {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": "0"}]}
             )
 
+    def test_json_rejects_missing_terms(self):
+        with pytest.raises(ValueError, match="'terms'"):
+            CompactPell.from_json_dict({"family": "r", "n": 4})
+
+    def test_json_rejects_string_index(self):
+        with pytest.raises(ValueError, match="'4'"):
+            CompactPell.from_json_dict({"family": "r", "n": "4", "terms": []})
+
     def test_json_rejects_repeated_exponent(self):
         terms = [{"exp": 3, "coeff": "5"}, {"exp": 3, "coeff": "8"}, {"exp": 0, "coeff": "1"}]
         with pytest.raises(ValueError, match="exponent 3"):
