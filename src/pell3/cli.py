@@ -211,29 +211,39 @@ class DemoRow:
 def numeric_demo(family: pell.Family, n_max: int, x: Fraction) -> list:
     """Float Binet vs exact recurrence at a concrete x.
 
-    Finds the roots of X^3 - 2x*X^2 - 1 with a general numeric cubic
-    solver, fits the three weights to the initial values by a 3x3 linear
-    solve, and compares against the exact recurrence values.  Errors are
-    relative, guarded by max(1, |exact|) so zero terms stay well-defined.
-    Raises OverflowError, or numpy's FloatingPointError, once a value
-    leaves float range.
+    Bisects for the real root x1 of X^3 - 2x*X^2 - 1, which is -1 at 0 and
+    >= 0 at max(2x, 0) + 1.  The others solve X^2 + bX + 1/x1 = 0, b = 1/x1^2
+    > 0, as r2 = -(b + sqrt(...))/2, which cancels nothing, and r3 = 1/(x1*r2).
+    Each weight but the last is (p2 - 2x*p1 + r*p1 + p0/r) / ((r - rj)(r - rk)),
+    p2 - 2x*p1 exact; the last closes the n = 0 row.  Errors are relative,
+    guarded by max(1, |exact|).  Raises OverflowError once a value leaves
+    float range.
     """
-    import numpy as np
+    import math
 
     seeds = [sum(c * x ** (n - family.delta) for c in s) for n, s in enumerate(family.seeds)]
     exact = list(seeds)
     for n in range(3, n_max + 1):
         exact.append(2 * x * exact[n - 1] + exact[n - 3])
 
-    with np.errstate(over="raise", invalid="raise"):
-        roots = np.roots([1.0, -2.0 * np.float64(x), 0.0, -1.0])
-        vander = np.vstack([roots**n for n in range(3)]).astype(complex)
-        weights = np.linalg.solve(vander, np.array([float(v) for v in seeds], dtype=complex))
-        rows = []
-        for n in range(n_max + 1):
-            approx = (weights * roots**n).sum().real
-            err = abs(approx - float(exact[n])) / max(1.0, abs(float(exact[n])))
-            rows.append(DemoRow(n, exact[n], float(approx), float(err)))
+    two_x = float(2 * x)
+    lo, hi = 0.0, max(two_x, 0.0) + 1
+    while lo < (x1 := lo + (hi - lo) / 2) < hi:
+        lo, hi = (x1, hi) if x1 * x1 * (x1 - two_x) < 1 else (lo, x1)
+    b, disc = x1**-2, x1**-4 - 4 / x1  # ** raises OverflowError where * gives inf
+    r2 = -(b + (math.sqrt(disc) if disc >= 0 else 1j * math.sqrt(-disc))) / 2
+    r3 = 1 / (x1 * r2)
+    p0, p1, head = float(seeds[0]), float(seeds[1]), float(seeds[2] - 2 * x * seeds[1])
+    t1, t2 = [(head + r * p1 + p0 / r) / (r - s) / (r - r3) for r, s in ((x1, r2), (r2, x1))]
+    t3 = p0 - t1 - t2
+    rows = []
+    for n in range(n_max + 1):
+        approx, value = (t1 + t2 + t3).real, float(exact[n])  # sum() compensates from 3.12 on
+        err = abs(approx - value) / max(1.0, abs(value))
+        if not math.isfinite(err):
+            raise OverflowError(f"non-finite float at n={n}")
+        rows.append(DemoRow(n, exact[n], approx, err))
+        t1, t2, t3 = t1 * x1, t2 * r2, t3 * r3
     return rows
 
 
@@ -242,12 +252,7 @@ def cmd_numeric_demo(args, parser) -> int:
         parser.error("x must be nonzero")
     try:
         rows = numeric_demo(args.family, args.n_max, args.x)
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        print("pell3 numeric-demo: numpy is not installed; install pell3[demo]", file=sys.stderr)
-        return EXIT_USAGE
-    except (OverflowError, FloatingPointError):
+    except OverflowError:
         return _float_range_error("numeric-demo", "lower --n-max or |x|")
     if args.format == "plain":
         print(f"{'n':>4} {'exact':>24} {'float-binet':>24} {'rel-err':>12}")

@@ -173,17 +173,22 @@ class CompactPell:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompactPell":
+        """Inverse of ``to_json_dict``; also takes coefficients as JSON integers."""
         try:
             family, n, terms = obj["family"], obj["n"], obj["terms"]
-        except KeyError as exc:
-            raise ValueError(f"missing key {exc}") from None
-        if family not in DELTA:
-            raise ValueError(f"unknown family {family!r}")
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
+            if family not in DELTA:
+                raise ValueError(f"unknown family {family!r}")
+            pairs = [(term["exp"], term["coeff"]) for term in terms]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed JSON polynomial: {exc!r}") from None
+        if type(n) is not int or type(terms) is not list:
+            raise ValueError(f"n must be an int and terms a list: {n!r}, {type(terms).__name__}")
         coeffs: dict[int, int] = {}
-        for term in terms:
-            exp, c = term["exp"], int(term["coeff"])
+        for exp, c in pairs:
+            if isinstance(c, str) and c.isascii() and c.removeprefix("-").isdigit():
+                c = int(c)
+            if type(exp) is not int or type(c) is not int:
+                raise ValueError(f"exponent {exp!r} or coefficient {c!r} is malformed")
             l, off = divmod(n - DELTA[family] - exp, 3)
             if l < 0 or off:
                 raise ValueError(f"exponent {exp} is off the grid for n={n}")

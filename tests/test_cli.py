@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 
 from pell3 import binet, lagrange, pell
 from pell3.binet import BinetCoefficients
-from pell3.cli import FORMATS, _csv_lines, _print_records, build_parser, main, plot_rows, render_row
+from pell3.cli import (
+    FORMATS,
+    _csv_lines,
+    _print_records,
+    build_parser,
+    main,
+    numeric_demo,
+    plot_rows,
+    render_row,
+)
 from pell3.exactnum import QuadExt
 from pell3.poly import CompactPell
 
@@ -463,11 +472,10 @@ class TestNumericDemo:
             capsys, "numeric-demo", "--family", "s", "--n-max", "3", "--x", "1/2", "--format", "csv"
         )
         assert code == 0
-        assert "np." not in out
         header, *rows = list(csv.reader(io.StringIO(out)))
         assert header == ["n", "exact", "binet", "rel_err"] and len(rows) == 4
         for row in rows:
-            assert all(isinstance(float(field), float) for field in row[2:4])
+            assert all(repr(float(field)) == field for field in row[2:4])
 
     @pytest.mark.parametrize("fmt", ["json", "plain"])
     def test_past_float_range_is_usage_error(self, capsys, fmt):
@@ -476,6 +484,42 @@ class TestNumericDemo:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "float range" in err
+
+    @pytest.mark.parametrize("x", ["1e16", "-1e16", "1e20", "-1e20"])
+    @pytest.mark.parametrize("family", ["r", "s", "sigma"])
+    def test_large_x_runs(self, capsys, family, x):
+        """Roots of very different sizes, where a float Vandermonde solve
+        reports a singular matrix."""
+        code, out = run(capsys, "numeric-demo", "--family", family, "--n-max", "5", f"--x={x}")
+        assert code == 0
+        assert len(json.loads(out)) == 6
+
+    @pytest.mark.parametrize("family", ["r", "s", "sigma"])
+    def test_x_past_float_range_is_usage_error(self, capsys, family):
+        # the exact terms pass the largest float from n = 4 or 5 on
+        code = main(["numeric-demo", "--family", family, "--n-max", "5", "--x", "1e100"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "float range" in err
+
+    @pytest.mark.parametrize(
+        "x",
+        ["1", "3/7", "-2", "7", "-1/9", "1/2", "5", "-5", "100", "1/100", "-3/4", "-0.94"]
+        + ["2/3", "-7/5", "13/11", "-1/1000", "1000"],
+    )
+    @pytest.mark.parametrize("family", ["r", "s", "sigma"])
+    def test_float_binet_tracks_the_recurrence(self, family, x):
+        """Complex and real root pairs, |x| on both sides of 1, and x = -0.94
+        just inside the complex side of the double root at -(27/32)^(1/3)."""
+        rows = numeric_demo(pell.by_name(family), 40, Fraction(x))
+        assert max(row.rel_err for row in rows) <= 1e-10
+
+    def test_runs_without_numpy(self, monkeypatch, capsys):
+        argv = ["numeric-demo", "--family", "r", "--n-max", "3"]
+        unblocked = run(capsys, *argv)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
+        assert run(capsys, *argv) == unblocked
+        assert unblocked[0] == 0
 
 
 class TestBench:
@@ -659,11 +703,3 @@ class TestGoldenOutput:
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         passing = {entry["argv"][0] for entry in TRANSCRIPT if entry["exit"] == 0}
         assert set(sub.choices) - {"numeric-demo", "bench"} <= passing
-
-
-def test_numeric_demo_without_numpy_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
-    code = main(["numeric-demo", "--family", "r", "--n-max", "3"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.count("\n") == 1 and "install pell3[demo]" in err

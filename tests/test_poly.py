@@ -143,6 +143,54 @@ class TestCompactPell:
         with pytest.raises(ValueError, match="exponent 3"):
             CompactPell.from_json_dict({"family": "r", "n": 4, "terms": terms})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": 1.5}]},
+            {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": True}]},
+            {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": " 8"}]},
+            {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": "+8"}]},
+            {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": "1_0"}]},
+            {"family": "r", "n": 4, "terms": [{"exp": 3, "coeff": "\u0668"}]},
+            {"family": "r", "n": 4, "terms": [{"coeff": "8"}]},
+            {"family": "r", "n": 4, "terms": [{"exp": "3", "coeff": "8"}]},
+            {"family": "r", "n": 2, "terms": [{"exp": True, "coeff": "2"}]},
+            {"family": "r", "n": 4, "terms": 5},
+            {"family": "r", "n": 4, "terms": ""},
+            {"family": "r", "n": 4, "terms": {"exp": 3, "coeff": "8"}},
+            {"family": "r", "n": 4, "terms": ["3:8"]},
+            {"family": ["r"], "n": 4, "terms": []},
+            [["family", "r"], ["n", 4], ["terms", []]],
+        ],
+        ids=[
+            "float-coeff",
+            "bool-coeff",
+            "space-in-coeff",
+            "plus-sign-coeff",
+            "underscore-coeff",
+            "non-ascii-digit-coeff",
+            "term-without-exp",
+            "string-exp",
+            "bool-exp",
+            "terms-not-a-list",
+            "terms-a-string",
+            "terms-a-dict",
+            "term-not-a-dict",
+            "family-a-list",
+            "top-level-not-a-dict",
+        ],
+    )
+    def test_json_rejects_malformed_input(self, obj):
+        """Anything to_json_dict would not write, but for JSON integer
+        coefficients, is a ValueError: no other error, no silent parse."""
+        with pytest.raises(ValueError):
+            CompactPell.from_json_dict(obj)
+
+    def test_json_accepts_integer_coefficients(self):
+        terms = [{"exp": 3, "coeff": 8}, {"exp": 0, "coeff": "1"}]
+        parsed = CompactPell.from_json_dict({"family": "r", "n": 4, "terms": terms})
+        assert parsed == recurrence_gen(R, 4)
+
     def test_coefficients_exceeding_machine_words(self):
         p = recurrence_gen(R, 200)
         assert p.coeffs[0] == 2**199
