@@ -108,6 +108,12 @@ def substitution_chain(t) -> SubstitutionPoint:
     )
 
 
+def _ring(point: SubstitutionPoint) -> tuple:
+    """p, q and D = (q+p)(5q-3p) at t = p/q: W = sqrt(D)/q."""
+    p, q = point.t.numerator, point.t.denominator
+    return p, q, (q + p) * (5 * q - 3 * p)
+
+
 def roots(point: SubstitutionPoint) -> RootTriple:
     t, d = point.t, point.d
     w2 = QuadExt(Fraction(1 + t, 2), Fraction(-1, 2), d)
@@ -142,8 +148,7 @@ def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoeffic
     nonzero away from the excluded t.  No weight is taken as the conjugate
     of another, so the Binet structure of the result is a real check.
     """
-    p, q = point.t.numerator, point.t.denominator
-    big_d = (q + p) * (5 * q - 3 * p)
+    p, q, big_d = _ring(point)
 
     def mul(u, v):
         return u[0] * v[0] + u[1] * v[1] * big_d, u[0] * v[1] + u[1] * v[0]
@@ -215,13 +220,17 @@ def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
     Z[sqrt(D)], never one as the conjugate of another, so w = 0 is a real
     check; the sqrt(D)-part is reported in W through sqrt(D) = qW.
     """
-    p, q = point.t.numerator, point.t.denominator
-    big_d = (q + p) * (5 * q - 3 * p)
+    return _numerators_from(point, a, b, c, 1, 1, 0, 1, 0, 1)
+
+
+def _numerators_from(point, a, b, c, x1, x2, y2, x3, y3, scale) -> Iterator[tuple]:
+    """binet_numerators from index n on, started from the scaled powers at n:
+    x1 = (2q*w1)^n, x_i + y_i*sqrt(D) = (2q*w_i)^n and scale = (2q)^n."""
+    p, q, big_d = _ring(point)
     parts = [part for weight in (a, b, c) for part in _sqrt_d_parts(weight, q)]
     den = lcm(*(f.denominator for f in parts))
     a0, a1, b0, b1, c0, c1 = (f.numerator * (den // f.denominator) for f in parts)
-    s, w1 = q + p, 2 * (q - p)
-    x1, x2, y2, x3, y3, m = 1, 1, 0, 1, 0, den
+    s, w1, m = q + p, 2 * (q - p), den * scale
     while True:
         yield (
             a0 * x1 + b0 * x2 + b1 * y2 * big_d + c0 * x3 + c1 * y3 * big_d,
@@ -234,6 +243,17 @@ def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
         m *= 2 * q
 
 
+def _power(x: int, y: int, n: int, big_d: int) -> tuple:
+    """(x + y*sqrt(D))^n as an integer pair, by repeated squaring."""
+    rx, ry = 1, 0
+    while n:
+        if n & 1:
+            rx, ry = rx * x + ry * y * big_d, rx * y + ry * x
+        x, y = x * x + y * y * big_d, 2 * x * y
+        n >>= 1
+    return rx, ry
+
+
 def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     """Evaluate the Binet combination A*w1^n + B*w2^n + C*w3^n exactly.
 
@@ -241,7 +261,8 @@ def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     conjugate of B, and the W-part must cancel to exactly zero
     (IdentityViolationError if either fails); the rational part equals
     the polynomial's z-normalized value,
-    recurrence_gen(family, n).eval_in_z(point.z).
+    recurrence_gen(family, n).eval_in_z(point.z).  Each scaled root is
+    powered on its own by repeated squaring, then combined as in binet_numerators.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
@@ -250,7 +271,11 @@ def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
         raise IdentityViolationError(
             f"solved weights are not A rational, C = conj(B) (family {family.name}, t={point.t})"
         )
-    r, w, m = next(islice(binet_numerators(point, co.a, co.b, co.c), n, None))
+    p, q, big_d = _ring(point)
+    x2, y2 = _power(q + p, -1, n, big_d)
+    x3, y3 = _power(q + p, 1, n, big_d)
+    powers = ((2 * (q - p)) ** n, x2, y2, x3, y3, (2 * q) ** n)
+    r, w, m = next(_numerators_from(point, co.a, co.b, co.c, *powers))
     if w:
         raise IdentityViolationError(
             f"W-part {Fraction(w, m)} did not cancel "
@@ -348,8 +373,7 @@ def char_root_residuals(point: SubstitutionPoint) -> dict:
     homogeneous in m; the residuals become QuadExt values only on return.
     """
     rt = roots(point)
-    p, q = point.t.numerator, point.t.denominator
-    big_d = (q + p) * (5 * q - 3 * p)
+    p, q, big_d = _ring(point)
     zn, zd = point.z.numerator, point.z.denominator
     v_cubic = (zn, 0, -2 * zd, zd)  # zd * (z*v^3 - 2v + 1)
     w_cubic = (zd, -2 * zd, 0, zn)  # zd * (w^3 - 2w^2 + z)

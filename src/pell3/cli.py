@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import binet, lagrange, pell, verify
 from .exactnum import IdentityViolationError
@@ -159,7 +161,8 @@ def cmd_binet(args, parser) -> int:
     except IdentityViolationError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_IDENTITY_FAILURE
-    expected = pell.recurrence_gen(args.family, args.n).eval_in_z(point.z)
+    h = next(islice(pell.values_at(args.family, point.t), args.n, None))
+    expected = Fraction(h, point.t.denominator**args.n)
     result = {
         "family": args.family.name,
         "n": args.n,
@@ -299,10 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    negative_value = re.compile(r"-\.?\d")
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func, parser=p)
+        # "-" then a digit or ".digit" is a value ("--t -5/7"), not an option
+        p._negative_number_matcher = negative_value
         return p
 
     def add_format(p):

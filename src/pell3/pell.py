@@ -12,6 +12,7 @@ recursion, and from a closed-form binomial sum.  The two must agree
 exactly, which is what the verification suites check.  Both work in y = 2x,
 where compact coefficients are bare binomials, shifted to x on return;
 coefficient_digits, which eval and coeffs print, runs the closed form in x.
+values_at runs the recursion at one point, for the Binet checks.
 """
 
 from __future__ import annotations
@@ -87,6 +88,19 @@ def _x_coeffs(family: Family, n: int, row) -> tuple:
     lists and lets them pile up, call after call, in a long-lived process.
     """
     return tuple(list(map(lshift, row, range(n - family.delta, -1, -3))))
+
+
+def values_at(family: Family, t) -> Iterator[int]:
+    """Yield h_n = q^n * p_n / x^(n-delta) at x^-3 = -z for n = 0, 1, 2, ...,
+    t = p/q, z = (1-t)^2 (1+t) = Z/q^3, Z = (q-p)^2 (q+p).  Evaluation is a
+    ring map, so h_n = 2q*h_{n-1} - Z*h_{n-3}; each seed is its coefficient times q^n."""
+    p, q = t.numerator, t.denominator
+    big_z = (q - p) ** 2 * (q + p)
+    h3, h2, h1 = (s[0] * q**n if s else 0 for n, s in enumerate(family.seeds))
+    yield from (h3, h2, h1)
+    while True:
+        h3, h2, h1 = h2, h1, 2 * q * h1 - big_z * h3
+        yield h1
 
 
 def recurrence_gen(family: Family, n: int) -> CompactPell:

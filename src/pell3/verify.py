@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from . import binet, lagrange
 from .exactnum import IdentityViolationError
-from .pell import FAMILIES, R, Family, closed_form, closed_form_certificate, coefficient_triangle
+from .pell import FAMILIES, R, Family, closed_form_certificate, coefficient_triangle
+from .pell import _ratio_row, _rows, values_at
 from .poly import horner_terms
 
 SUITES = ("closed-form", "binet", "xi", "lagrange", "roots")
@@ -55,38 +57,37 @@ class SuiteReport:
 def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:
     """Closed form == recurrence for every family over its valid range:
     proved for every n by pell.closed_form_certificate, compared row by row
-    up to max_n."""
+    up to max_n in y-form, before the injective shift to x both routes share."""
     report = SuiteReport("closed-form", 0, max_n)
     for family in FAMILIES.values():
         for check in closed_form_certificate(family):
             report.fail(f"{family.name}: certificate: {check}")
-        rows = coefficient_triangle(family, max_n)
-        for n in range(family.closed_form_min, max_n + 1):
+        for n, row in islice(enumerate(_rows(family)), family.closed_form_min, max_n + 1):
             try:
-                cf = closed_form(family, n)
+                cf = _ratio_row(family, n, 1, 1)
             except IdentityViolationError:
                 report.fail(f"{family.name}: non-integral closed-form coefficient", n=n)
                 continue
-            if cf.coeffs != rows[n]:
+            if cf != row:
                 report.fail(f"{family.name}: closed form differs from recurrence", n=n)
     return report
 
 
-def _binet_sweep(family: Family, point, co, report: SuiteReport, rows):
-    """Integer Binet numerators against the z-normalized polynomials.
+def _binet_sweep(family: Family, point, co, report: SuiteReport):
+    """Integer Binet numerators against the recurrence run at the point.
 
-    Row n holds p_n's compact coefficients, those of (-z)^l; its value at
-    z is the unreduced Horner pair num/den, so the comparison
-    r/m == num/den is one cross-multiplication of integers.
+    pell.values_at gives p_n's z-normalized value as h_n/q^n, so the
+    comparison r/m == h_n/q^n is one cross-multiplication of integers.
     """
-    z = -point.z
+    q, q_n = point.t.denominator, 1
     terms = binet.binet_numerators(point, co.a, co.b, co.c)
-    for n, (row, (r, w, m)) in enumerate(zip(rows, terms)):
+    values = values_at(family, point.t)
+    for n, h, (r, w, m) in zip(range(report.max_n + 1), values, terms):
         if w:
             report.fail(f"{family.name}: W-part nonzero", t=point.t, n=n)
-        num, den = horner_terms(row, z.numerator, z.denominator)
-        if r * den != num * m:
+        if r * q_n != h * m:
             report.fail(f"{family.name}: Binet value differs from recurrence", t=point.t, n=n)
+        q_n *= q
 
 
 def run_binet(
@@ -94,7 +95,9 @@ def run_binet(
     t_samples: int = DEFAULT_T_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
-    """Binet combinations and weight cross-checks at seeded t samples."""
+    """Binet combinations and weight cross-checks at seeded t samples: the
+    combinations up to max_n against the recurrence run at the point
+    (pell.values_at), one pass over n for each family and t."""
     report = SuiteReport("binet", t_samples, max_n)
     report.notes.append(
         "s-family closed-form weights corrected: second term of B and C "
@@ -102,7 +105,6 @@ def run_binet(
         "both forced by the initial-value solve"
     )
     points = binet.sample_points(t_samples, seed)
-    rows = {family.name: coefficient_triangle(family, max_n) for family in FAMILIES.values()}
     for point in points:
         for family in FAMILIES.values():
             solved = binet.solve_coefficients(family, point)
@@ -119,7 +121,7 @@ def run_binet(
                     )
             if not (solved.a.b == 0 and solved.b == solved.c.conjugate()):
                 report.fail(f"{family.name}: weight structure broken", t=point.t)
-            _binet_sweep(family, point, solved, report, rows[family.name])
+            _binet_sweep(family, point, solved, report)
     return report
 
 

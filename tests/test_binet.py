@@ -22,7 +22,7 @@ from pell3.binet import (
     substitution_chain,
 )
 from pell3.exactnum import IdentityViolationError, QuadExt
-from pell3.pell import FAMILIES, R, S, SIGMA, recurrence_gen
+from pell3.pell import FAMILIES, R, S, SIGMA, recurrence_gen, values_at
 from pell3.poly import DensePoly
 
 SAMPLE_TS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-2, 7), Fraction(4, 5)]
@@ -136,6 +136,21 @@ class TestBinetEval:
                     expected = recurrence_gen(family, n).eval_in_z(pt.z)
                     assert binet_eval(family, n, pt) == expected
 
+    def test_powering_matches_the_sweep(self):
+        for pt in (POINTS[1], POINTS[3], substitution_chain(Fraction(7, 3))):
+            for family in FAMILIES.values():
+                co = solve_coefficients(family, pt)
+                terms = binet.binet_numerators(pt, co.a, co.b, co.c)
+                for n, (r, w, m) in zip(range(201), terms):
+                    assert binet_eval(family, n, pt) == Fraction(r, m), (family.name, n)
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_large_n_matches_the_recurrence_at_the_point(self, n):
+        for pt in (POINTS[1], POINTS[3], substitution_chain(Fraction(7, 3))):
+            for family in FAMILIES.values():
+                h = next(islice(values_at(family, pt.t), n, None))
+                assert binet_eval(family, n, pt) == Fraction(h, pt.t.denominator**n)
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             binet_eval(R, -1, POINTS[0])
@@ -181,7 +196,13 @@ class TestWPartUnits:
         co = solve_coefficients(S, pt)
         r, w, m = list(islice(binet.binet_numerators(pt, co.a, co.b, co.c), n + 1))[n]
         assert w == 0
-        monkeypatch.setattr(binet, "binet_numerators", shifted_numerators(0, 1))
+        numerators_from = binet._numerators_from
+
+        def shifted(*args):
+            for r, w, m in numerators_from(*args):
+                yield r, w + 1, m
+
+        monkeypatch.setattr(binet, "_numerators_from", shifted)
         with pytest.raises(IdentityViolationError, match=f"W-part {Fraction(1, m)} did not"):
             binet_eval(S, n, pt)
 

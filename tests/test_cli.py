@@ -3,6 +3,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import inspect
 import io
 import json
 import sys
@@ -422,11 +423,56 @@ class TestBinetCommand:
         assert "conj" in json.loads(out)["error"]
 
     def test_recurrence_mismatch_exits_one(self, capsys, monkeypatch):
-        recurrence = pell.recurrence_gen
-        monkeypatch.setattr(pell, "recurrence_gen", lambda family, n: recurrence(family, n + 3))
+        values = pell.values_at
+        monkeypatch.setattr(pell, "values_at", lambda family, t: islice(values(family, t), 3, None))
         code, out = run(capsys, "binet", "--family", "r", "--n", "5", "--t=1/2")
         assert code == 1
         assert json.loads(out)["matches_recurrence"] is False
+
+    @pytest.mark.parametrize(
+        "module, name, old, new",
+        [
+            (pell, "values_at", "(q - p) ** 2 * (q + p)", "(q - p) * (q + p) ** 2"),
+            (pell, "values_at", "s[0] * q**n", "s[0] * q ** max(n - 1, 0)"),
+            (binet, "_power", "rx, ry = 1, 0", "rx, ry = (x, y) if n % 2 else (1, 0)"),
+        ],
+        ids=["Z-factor", "seed-scale", "odd-exponent"],
+    )
+    def test_mutant_is_caught(self, capsys, monkeypatch, module, name, old, new):
+        monkeypatch.setattr(module, name, mutant(module, name, old, new))
+        for family in ("r", "s", "sigma"):
+            for n in (5, 9, 3001):
+                code, out = run(capsys, "binet", "--family", family, "--n", str(n), "--t=-5/7")
+                assert code == 1
+                assert json.loads(out).get("matches_recurrence") is not True
+
+
+def mutant(module, name: str, old: str, new: str):
+    """The function module.name compiled from its source with old replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["binet", "--family", "r", "--n", "5", "--t"], "-5/7"),
+        (["numeric-demo", "--family", "r", "--n-max", "5", "--x"], "-1/9"),
+        (["numeric-demo", "--family", "s", "--n-max", "5", "--x"], "-1e20"),
+        (["numeric-demo", "--family", "sigma", "--n-max", "5", "--x"], "-.5"),
+        (["plot-data", "--to", "1", "--steps", "3", "--from"], "-1/2"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_negative_value_as_a_separate_word(capsys, argv, value):
+    """A negative rational, exponent form or leading dot included, reads as
+    the option's value whether it follows as its own word or after "="."""
+    code, out = run(capsys, *argv, value)
+    assert (code, out) == run(capsys, *argv[:-1], f"{argv[-1]}={value}")
+    assert code == 0
 
 
 class TestPlotData:

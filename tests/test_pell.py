@@ -1,9 +1,11 @@
 import decimal
+import functools
+from fractions import Fraction
 from itertools import islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pell3 import pell, verify
@@ -21,6 +23,7 @@ from pell3.pell import (
     coefficient_triangle,
     recurrence_gen,
     triangle_csv,
+    values_at,
 )
 from pell3.exactnum import IdentityViolationError
 from pell3.poly import CompactPell
@@ -61,6 +64,42 @@ class TestRecurrence:
             for l, c in enumerate(p.coeffs):
                 assert c != 0
                 assert p.exponent(l) % 3 == (n - p.delta) % 3
+
+
+#: t away from the grid sample_points draws from (|t| < 1, denominator <= 12):
+#: |t| > 1, D = (1+t)(5-3t) < 0 and the excluded t of the Binet route included
+OFF_GRID_T = st.fractions(-30, 30, max_denominator=10**4).filter(
+    lambda t: abs(t) >= 1 or t.denominator > 12
+)
+
+
+class TestValuesAt:
+    """The recursion run at x^-3 = -z, z = (1-t)^2 (1+t), against the
+    polynomials evaluated there."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(OFF_GRID_T)
+    @example(Fraction(7, 3))  # D < 0
+    @example(Fraction(-5, 2))  # D < 0
+    @example(Fraction(1))  # z = 0
+    def test_equals_the_polynomials_at_z(self, t):
+        z = (1 - t) ** 2 * (1 + t)
+        for family in FAMILIES.values():
+            rows = triangle_rows(family.name)
+            values = values_at(family, t)
+            for n, (row, h) in enumerate(zip(rows, values)):
+                poly = CompactPell(family.name, n, row)
+                assert Fraction(h, t.denominator**n) == poly.eval_in_z(z), (family.name, n)
+
+    def test_hand_iterated_sigma_at_t_zero(self):
+        # t = 0: z = 1, and sigma_3 / x^3 = 8 + 3x^-3 = 5, sigma_4 / x^4 = 16 + 8x^-3 = 8
+        assert list(islice(values_at(SIGMA, 0), 7)) == [3, 2, 4, 5, 8, 12, 19]
+
+
+@functools.cache
+def triangle_rows(name: str) -> list:
+    """Rows 0..300 of a family's triangle, those of recurrence_gen, made once."""
+    return coefficient_triangle(by_name(name), 300)
 
 
 class TestClosedForm:

@@ -5,7 +5,7 @@ import pytest
 
 from pell3 import binet, lagrange, verify
 from pell3.binet import BinetCoefficients
-from pell3.exactnum import QuadExt
+from pell3.exactnum import IdentityViolationError, QuadExt
 from pell3.pell import FAMILIES, coefficient_triangle
 from pell3.poly import CompactPell, horner_terms
 
@@ -156,14 +156,13 @@ class TestBinetSweepPolynomials:
                 assert value == sum(c * (-z) ** l for l, c in enumerate(row))
 
     def test_perturbed_recurrence_row_is_caught(self, monkeypatch):
-        triangle = verify.coefficient_triangle
+        values = verify.values_at
 
-        def perturbed(family, max_n):
-            rows = triangle(family, max_n)
-            rows[5] = (rows[5][0] + 1,) + rows[5][1:]
-            return rows
+        def perturbed(family, t):
+            for n, h in enumerate(values(family, t)):
+                yield h + (n == 5)
 
-        monkeypatch.setattr(verify, "coefficient_triangle", perturbed)
+        monkeypatch.setattr(verify, "values_at", perturbed)
         report = verify.run_binet(max_n=6, t_samples=3, seed=42)
         for family in ("r", "s", "sigma"):
             bad = [
@@ -172,6 +171,39 @@ class TestBinetSweepPolynomials:
             ]
             assert bad == [5, 5, 5]
         assert not any("W-part" in check for check in checks(report))
+
+
+class TestClosedFormSweep:
+    """Each closed-form row against the same y-row of one recurrence pass."""
+
+    @staticmethod
+    def failed(report) -> list:
+        return [(f["check"], f["n"]) for f in report.failures]
+
+    def test_perturbed_recurrence_row_fails_once_per_family(self, monkeypatch):
+        rows = verify._rows
+
+        def perturbed(family):
+            for n, row in enumerate(rows(family)):
+                yield [row[0] + 1, *row[1:]] if n == 37 else row
+
+        monkeypatch.setattr(verify, "_rows", perturbed)
+        assert self.failed(verify.run_closed_form(60)) == [
+            (f"{name}: closed form differs from recurrence", 37) for name in FAMILIES
+        ]
+
+    def test_non_integral_coefficient_fails_at_its_n_only(self, monkeypatch):
+        ratio_row = verify._ratio_row
+
+        def raising(family, n, first, step):
+            if n == 37:
+                raise IdentityViolationError("closed-form coefficient is not an integer")
+            return ratio_row(family, n, first, step)
+
+        monkeypatch.setattr(verify, "_ratio_row", raising)
+        assert self.failed(verify.run_closed_form(60)) == [
+            (f"{name}: non-integral closed-form coefficient", 37) for name in FAMILIES
+        ]
 
 
 class TestLagrangeSuite:
