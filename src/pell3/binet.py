@@ -90,6 +90,10 @@ class BinetCoefficients:
     b: QuadExt
     c: QuadExt
 
+    def has_binet_structure(self) -> bool:
+        """A rational and C the conjugate of B."""
+        return self.a.is_rational() and self.c == self.b.conjugate()
+
 
 def substitution_chain(t) -> SubstitutionPoint:
     """Build the substitution point at rational t.
@@ -112,6 +116,22 @@ def _ring(point: SubstitutionPoint) -> tuple:
     """p, q and D = (q+p)(5q-3p) at t = p/q: W = sqrt(D)/q."""
     p, q = point.t.numerator, point.t.denominator
     return p, q, (q + p) * (5 * q - 3 * p)
+
+
+def _mul(u: tuple, v: tuple, big_d: int) -> tuple:
+    """Product of two integer pairs x + y*sqrt(D) of Z[sqrt(D)]."""
+    return u[0] * v[0] + u[1] * v[1] * big_d, u[0] * v[1] + u[1] * v[0]
+
+
+def _power(x: int, y: int, n: int, big_d: int) -> tuple:
+    """(x + y*sqrt(D))^n as an integer pair, by repeated squaring."""
+    rx, ry = 1, 0
+    while n:
+        if n & 1:
+            rx, ry = _mul((rx, ry), (x, y), big_d)
+        x, y = x * x + y * y * big_d, 2 * x * y
+        n >>= 1
+    return rx, ry
 
 
 def roots(point: SubstitutionPoint) -> RootTriple:
@@ -149,18 +169,14 @@ def solve_coefficients(family: Family, point: SubstitutionPoint) -> BinetCoeffic
     of another, so the Binet structure of the result is a real check.
     """
     p, q, big_d = _ring(point)
-
-    def mul(u, v):
-        return u[0] * v[0] + u[1] * v[1] * big_d, u[0] * v[1] + u[1] * v[0]
-
     g0, g1, g2 = (s[0] * (2 * q) ** n if s else 0 for n, s in enumerate(family.seeds))
     r1, r2, r3 = (2 * (q - p), 0), (q + p, -1), (q + p, 1)
     weights = []
     for ri, rj, rk in ((r1, r2, r3), (r2, r3, r1), (r3, r1, r2)):
-        px, py = mul(rj, rk)
+        px, py = _mul(rj, rk, big_d)
         num = (g2 - (rj[0] + rk[0]) * g1 + px * g0, py * g0 - (rj[1] + rk[1]) * g1)
-        dx, dy = mul((ri[0] - rj[0], ri[1] - rj[1]), (ri[0] - rk[0], ri[1] - rk[1]))
-        x, y = mul(num, (dx, -dy))
+        dx, dy = _mul((ri[0] - rj[0], ri[1] - rj[1]), (ri[0] - rk[0], ri[1] - rk[1]), big_d)
+        x, y = _mul(num, (dx, -dy), big_d)
         norm = dx * dx - big_d * dy * dy
         # x + y*sqrt(D) with sqrt(D) = q*W
         weights.append(QuadExt(Fraction(x, norm), Fraction(y * q, norm), point.d))
@@ -209,28 +225,25 @@ def _sqrt_d_parts(weight, q: int) -> tuple:
     return Fraction(weight), Fraction(0)
 
 
-def binet_numerators(point: SubstitutionPoint, a, b, c) -> Iterator[tuple]:
-    """Yield integers (r, w, m) for n = 0, 1, 2, ... with
+def binet_numerators(point: SubstitutionPoint, a, b, c, start: int = 0) -> Iterator[tuple]:
+    """Yield integers (r, w, m) for n = start, start+1, ... with
 
         a*w1^n + b*w2^n + c*w3^n = (r + w*W) / m,
 
     where t = p/q, D = (q+p)(5q-3p) and m = den*(2q)^n, den being the
     common denominator of the weights' coefficients.  The scaled powers
-    (2q*w1)^n, (2q*w2)^n and (2q*w3)^n are advanced each on its own in
+    (2q*w_i)^n, squared up to n = start, are advanced each on its own in
     Z[sqrt(D)], never one as the conjugate of another, so w = 0 is a real
     check; the sqrt(D)-part is reported in W through sqrt(D) = qW.
     """
-    return _numerators_from(point, a, b, c, 1, 1, 0, 1, 0, 1)
-
-
-def _numerators_from(point, a, b, c, x1, x2, y2, x3, y3, scale) -> Iterator[tuple]:
-    """binet_numerators from index n on, started from the scaled powers at n:
-    x1 = (2q*w1)^n, x_i + y_i*sqrt(D) = (2q*w_i)^n and scale = (2q)^n."""
     p, q, big_d = _ring(point)
     parts = [part for weight in (a, b, c) for part in _sqrt_d_parts(weight, q)]
     den = lcm(*(f.denominator for f in parts))
     a0, a1, b0, b1, c0, c1 = (f.numerator * (den // f.denominator) for f in parts)
-    s, w1, m = q + p, 2 * (q - p), den * scale
+    s, w1 = q + p, 2 * (q - p)
+    x1, m = w1**start, den * (2 * q) ** start
+    x2, y2 = _power(s, -1, start, big_d)
+    x3, y3 = _power(s, 1, start, big_d)
     while True:
         yield (
             a0 * x1 + b0 * x2 + b1 * y2 * big_d + c0 * x3 + c1 * y3 * big_d,
@@ -243,39 +256,23 @@ def _numerators_from(point, a, b, c, x1, x2, y2, x3, y3, scale) -> Iterator[tupl
         m *= 2 * q
 
 
-def _power(x: int, y: int, n: int, big_d: int) -> tuple:
-    """(x + y*sqrt(D))^n as an integer pair, by repeated squaring."""
-    rx, ry = 1, 0
-    while n:
-        if n & 1:
-            rx, ry = rx * x + ry * y * big_d, rx * y + ry * x
-        x, y = x * x + y * y * big_d, 2 * x * y
-        n >>= 1
-    return rx, ry
-
-
 def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
     """Evaluate the Binet combination A*w1^n + B*w2^n + C*w3^n exactly.
 
     The solved weights must have the Binet structure, A rational and C the
     conjugate of B, and the W-part must cancel to exactly zero
     (IdentityViolationError if either fails); the rational part equals
-    the polynomial's z-normalized value,
-    recurrence_gen(family, n).eval_in_z(point.z).  Each scaled root is
-    powered on its own by repeated squaring, then combined as in binet_numerators.
+    the polynomial's z-normalized value, h_n/q^n from pell.values_at.  It is
+    the first term of binet_numerators started at n.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     co = solve_coefficients(family, point)
-    if not (co.a.is_rational() and co.c == co.b.conjugate()):
+    if not co.has_binet_structure():
         raise IdentityViolationError(
             f"solved weights are not A rational, C = conj(B) (family {family.name}, t={point.t})"
         )
-    p, q, big_d = _ring(point)
-    x2, y2 = _power(q + p, -1, n, big_d)
-    x3, y3 = _power(q + p, 1, n, big_d)
-    powers = ((2 * (q - p)) ** n, x2, y2, x3, y3, (2 * q) ** n)
-    r, w, m = next(_numerators_from(point, co.a, co.b, co.c, *powers))
+    r, w, m = next(binet_numerators(point, co.a, co.b, co.c, n))
     if w:
         raise IdentityViolationError(
             f"W-part {Fraction(w, m)} did not cancel "

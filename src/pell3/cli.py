@@ -19,6 +19,7 @@ from itertools import islice
 
 from . import binet, lagrange, pell, verify
 from .exactnum import IdentityViolationError
+from .poly import plain_term
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -75,13 +76,6 @@ def _print_records(fmt: str, header: list, rows: list) -> None:
         print(_csv_lines(header, rows), end="")
 
 
-def _plain_term(exp: int, digits: str) -> str:
-    if exp == 0:
-        return digits
-    x = "x" if exp == 1 else f"x^{exp}"
-    return x if digits == "1" else digits + x
-
-
 def render_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> str:
     """Stdout of ``eval`` or ``coeffs`` for row n, from the decimal strings
     of its x-coefficients.  ``coeffs`` prints them all by index l; ``eval``
@@ -99,7 +93,7 @@ def render_row(command: str, family: pell.Family, n: int, digits: list, fmt: str
         return f'{{"family": "{family.name}", "n": {n}, "coeffs": [{coeffs}]}}\n'
     terms = [(n - family.delta - 3 * l, d) for l, d in enumerate(digits) if d != "0"]
     if fmt == "plain":
-        return ("+".join([_plain_term(e, d) for e, d in terms]) or "0") + "\n"
+        return ("+".join([plain_term(e, d) for e, d in terms]) or "0") + "\n"
     if fmt == "csv":
         return "exp,coeff\n" + "".join([f"{e},{d}\n" for e, d in terms])
     json_terms = ", ".join([f'{{"exp": {e}, "coeff": "{d}"}}' for e, d in terms])

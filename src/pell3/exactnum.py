@@ -36,6 +36,17 @@ def gen_binomial(m: int, k: int) -> int:
     return (-1) ** k * math.comb(k - m - 1, k)
 
 
+def power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring, starting from the identity one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class QuadExt:
     """Element ``a + b*W`` of a quadratic extension of Q, with ``W**2 = d``.
 
@@ -112,14 +123,7 @@ class QuadExt:
     def __pow__(self, n: int) -> "QuadExt":
         if n < 0:
             raise ValueError(f"exponent must be nonnegative, got {n}")
-        result = QuadExt(1, 0, self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, QuadExt(1, 0, self.d))
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)

@@ -12,6 +12,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .series import truncated_product
+
 #: exponent offset of each family: polynomial n has degree n - delta
 DELTA = {"r": 1, "s": 1, "sigma": 0}
 
@@ -32,6 +34,15 @@ def _horner(coeffs, x0) -> Fraction:
     """sum_k coeffs[k] * x0**k at rational x0, as one Fraction."""
     x0 = Fraction(x0)
     return Fraction(*horner_terms(coeffs, x0.numerator, x0.denominator))
+
+
+def plain_term(exp: int, digits: str) -> str:
+    """One term of the plain rendering: the digits, then x or x^exp, with a
+    coefficient of 1 dropped before an x."""
+    if exp == 0:
+        return digits
+    x = "x" if exp == 1 else f"x^{exp}"
+    return x if digits == "1" else digits + x
 
 
 class DensePoly:
@@ -75,12 +86,8 @@ class DensePoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return DensePoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return DensePoly(out)
+        a, b = self.coeffs, other.coeffs
+        return DensePoly(truncated_product(a, b, len(a) + len(b)))
 
     __rmul__ = __mul__
 
@@ -91,25 +98,12 @@ class DensePoly:
 
     def format_plain(self) -> str:
         """Render in descending exponents, e.g. ``131072x^17+...+84x^2``."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for exp in range(self.degree, -1, -1):
-            c = self.coeffs[exp]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            else:
-                xs = "x" if exp == 1 else f"x^{exp}"
-                body = xs if mag == 1 else f"{mag}{xs}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = (sign if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+        text = "".join(
+            ("-" if c < 0 else "+") + plain_term(exp, str(abs(c)))
+            for exp in range(self.degree, -1, -1)
+            if (c := self.coeffs[exp])
+        )
+        return text.removeprefix("+") or "0"
 
     def __repr__(self):
         return f"DensePoly({self.format_plain()})"

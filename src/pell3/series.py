@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exactnum import power
+
 
 class NonUnitError(ZeroDivisionError):
     """Reciprocal of a series whose constant term is zero."""
@@ -88,14 +90,7 @@ class RatSeries:
     def __pow__(self, k: int) -> "RatSeries":
         if k < 0:
             raise ValueError(f"exponent must be nonnegative, got {k}")
-        result = RatSeries((1,), self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, RatSeries((1,), self.order))
 
     def reciprocal(self) -> "RatSeries":
         """Series b with self * b = 1 up to the truncation order."""

@@ -119,7 +119,7 @@ def run_binet(
                         f"{family.name}: solved weight {label} differs from closed form",
                         t=point.t,
                     )
-            if not (solved.a.b == 0 and solved.b == solved.c.conjugate()):
+            if not solved.has_binet_structure():
                 report.fail(f"{family.name}: weight structure broken", t=point.t)
             _binet_sweep(family, point, solved, report)
     return report

@@ -168,6 +168,18 @@ class TestBinetEval:
             binet_eval(R, 0, POINTS[1])
 
 
+class TestNumeratorsStart:
+    # 7/3 and -3/2 have D = (q+p)(5q-3p) < 0
+    @pytest.mark.parametrize("t", ["1/2", "-2/7", "7/3", "-3/2"])
+    def test_start_k_is_the_kth_term_from_zero(self, t):
+        pt = substitution_chain(t)
+        for family in FAMILIES.values():
+            co = solve_coefficients(family, pt)
+            run = list(islice(binet.binet_numerators(pt, co.a, co.b, co.c), 61))
+            for k, term in enumerate(run):
+                assert next(binet.binet_numerators(pt, co.a, co.b, co.c, k)) == term, (family, k)
+
+
 def shifted_numerators(dr, dw):
     """binet.binet_numerators with dr added to r and dw to the W-part w."""
     numerators = binet.binet_numerators
@@ -196,13 +208,13 @@ class TestWPartUnits:
         co = solve_coefficients(S, pt)
         r, w, m = list(islice(binet.binet_numerators(pt, co.a, co.b, co.c), n + 1))[n]
         assert w == 0
-        numerators_from = binet._numerators_from
+        numerators = binet.binet_numerators
 
-        def shifted(*args):
-            for r, w, m in numerators_from(*args):
+        def shifted(point, a, b, c, start=0):
+            for r, w, m in numerators(point, a, b, c, start):
                 yield r, w + 1, m
 
-        monkeypatch.setattr(binet, "_numerators_from", shifted)
+        monkeypatch.setattr(binet, "binet_numerators", shifted)
         with pytest.raises(IdentityViolationError, match=f"W-part {Fraction(1, m)} did not"):
             binet_eval(S, n, pt)
 

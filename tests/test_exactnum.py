@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pell3.exactnum import FieldMismatchError, QuadExt, gen_binomial
+from pell3.exactnum import FieldMismatchError, QuadExt, gen_binomial, power
+from pell3.series import RatSeries
 
 
 class TestGenBinomial:
@@ -116,3 +117,21 @@ class TestQuadExt:
     def test_ring_laws(self, e, f, g):
         assert e * f == f * e
         assert e * (f + g) == e * f + e * g
+
+
+@given(
+    st.one_of(
+        quad_elements(5),
+        quad_elements(Fraction(-19, 4)),
+        st.builds(RatSeries, st.lists(small_fractions, min_size=1, max_size=6)),
+    )
+)
+def test_power_matches_repeated_multiplication(e):
+    def state(x):
+        return type(x), tuple(getattr(x, slot) for slot in type(x).__slots__)
+
+    one = QuadExt(1, 0, e.d) if isinstance(e, QuadExt) else RatSeries((1,), e.order)
+    product = one
+    for n in range(21):
+        assert state(power(e, n, one)) == state(e**n) == state(product)
+        product = product * e

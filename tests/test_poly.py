@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pell3.pell import FAMILIES, R, SIGMA, recurrence_gen
 from pell3.poly import DELTA, CompactPell, DensePoly
@@ -57,6 +59,64 @@ class TestDensePoly:
         assert DensePoly((1, 0, 0, 8)).format_plain() == "8x^3+1"
         assert DensePoly((0, -4, 1)).format_plain() == "x^2-4x"
         assert DensePoly((0, 1)).format_plain() == "x"
+
+
+def reference_product(a, b) -> list:
+    """Schoolbook product of two coefficient tuples, every pair (i, j) once."""
+    out = [0] * (len(a) + len(b))
+    for i, ci in enumerate(a):
+        if ci:
+            for j, cj in enumerate(b):
+                out[i + j] += ci * cj
+    return out
+
+
+def reference_plain(coeffs) -> str:
+    """Plain rendering written out term by term: sign, magnitude, power of x."""
+    parts = []
+    for exp in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[exp]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if exp == 0:
+            body = str(mag)
+        else:
+            xs = "x" if exp == 1 else f"x^{exp}"
+            body = xs if mag == 1 else f"{mag}{xs}"
+        parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    text = (sign if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += sign + body
+    return text
+
+
+COEFF_TUPLES = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**6), 10**6)), max_size=10
+).map(tuple)
+
+
+class TestAgainstReferences:
+    """The product and the plain rendering against references written out loop by loop."""
+
+    @given(COEFF_TUPLES, COEFF_TUPLES)
+    @example((), ())
+    @example((), (1, -1))
+    @example((0, 0, 1), (-1, 0, 0))
+    def test_product(self, a, b):
+        assert DensePoly(a) * DensePoly(b) == DensePoly(reference_product(a, b))
+
+    @given(COEFF_TUPLES)
+    @example(())
+    @example((0, 0))
+    @example((-1,))
+    @example((1, -1, 0, -1, 1))
+    def test_plain_rendering(self, coeffs):
+        assert DensePoly(coeffs).format_plain() == reference_plain(coeffs)
+        assert repr(DensePoly(coeffs)) == f"DensePoly({reference_plain(coeffs)})"
 
 
 class TestCompactPell:

@@ -70,6 +70,26 @@ class TestMutationsAreCaught:
         for family in ("r", "s", "sigma"):
             assert f"{family}: W-part nonzero" in found
 
+    @pytest.mark.parametrize(
+        "da, db",
+        [(1, -1), (1, 0), (0, 1)],
+        ids=["W-moved-from-B-to-A", "W-added-to-A", "W-added-to-B"],
+    )
+    def test_broken_weight_structure(self, monkeypatch, da, db):
+        # the first is the move in test_binet's test_broken_weight_structure_raises;
+        # the others break only "A rational" or only "C = conj(B)"
+        solve = binet.solve_coefficients
+
+        def shifted(family, point):
+            co = solve(family, point)
+            w = QuadExt(0, 1, point.d)
+            return BinetCoefficients(co.a + da * w, co.b + db * w, co.c)
+
+        monkeypatch.setattr(binet, "solve_coefficients", shifted)
+        found = checks(verify.run_binet(max_n=4, t_samples=2, seed=42))
+        for family in ("r", "s", "sigma"):
+            assert f"{family}: weight structure broken" in found
+
     def test_perturbed_binomial_term(self, monkeypatch):
         comb = binet.comb
         monkeypatch.setattr(binet, "comb", lambda n, k: comb(n, k) + (k == 1))
