@@ -4,17 +4,15 @@ Integers are plain Python ``int`` (already arbitrary precision, with a
 canonical zero); rationals are ``fractions.Fraction`` (always in lowest
 terms, positive denominator).  What this module adds on top is the
 generalized binomial coefficient and exact arithmetic in a quadratic
-extension of the rationals, ``a + b*W`` with ``W**2 = D``.
+extension of the rationals, ``a + b*W`` with ``W**2 = D``, where mixing
+two discriminants raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-
-
-class FieldMismatchError(ValueError):
-    """Combining quadratic-extension elements over different discriminants."""
 
 
 class IdentityViolationError(ArithmeticError):
@@ -38,6 +36,8 @@ def gen_binomial(m: int, k: int) -> int:
 
 def power(base, n: int, one):
     """base**n for n >= 0 by repeated squaring, starting from the identity one."""
+    if n < 0:
+        raise ValueError(f"exponent must be nonnegative, got {n}")
     result = one
     while n:
         if n & 1:
@@ -47,14 +47,27 @@ def power(base, n: int, one):
     return result
 
 
+def lifted(op):
+    """Binary operator op(self, other) with other lifted by self._lift, or
+    NotImplemented for an operand _lift refuses, so Python tries the other side."""
+
+    @functools.wraps(op)
+    def lifted_op(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self, other)
+
+    return lifted_op
+
+
 class QuadExt:
     """Element ``a + b*W`` of a quadratic extension of Q, with ``W**2 = d``.
 
     The discriminant travels with the element, so values taken from
     different extensions can coexist in one program; mixing them in an
-    arithmetic operation raises ``FieldMismatchError``.  Plain ints and
-    Fractions mix freely (they are lifted to ``a + 0*W``).  Instances are
-    never mutated after construction.
+    arithmetic operation raises ``ValueError``.  Plain ints and Fractions
+    mix freely (lifted to ``a + 0*W``); instances are never mutated.
     """
 
     __slots__ = ("a", "b", "d")
@@ -67,7 +80,7 @@ class QuadExt:
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.d != self.d:
-                raise FieldMismatchError(
+                raise ValueError(
                     f"cannot combine elements with W^2={self.d} and W^2={other.d}"
                 )
             return other
@@ -75,30 +88,25 @@ class QuadExt:
             return QuadExt(other, 0, self.d)
         return NotImplemented
 
+    @lifted
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QuadExt(self.a + other.a, self.b + other.b, self.d)
 
     __radd__ = __add__
 
+    @lifted
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QuadExt(self.a - other.a, self.b - other.b, self.d)
 
+    @lifted
     def __rsub__(self, other):
-        return (-self) + other
+        return other - self
 
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.d)
 
+    @lifted
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QuadExt(
             self.a * other.a + self.b * other.b * self.d,
             self.a * other.b + self.b * other.a,
@@ -107,22 +115,21 @@ class QuadExt:
 
     __rmul__ = __mul__
 
+    @lifted
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         nrm = other.norm()
         if nrm == 0:
             raise ZeroDivisionError("division by a non-invertible element")
         num = self * other.conjugate()
         return QuadExt(num.a / nrm, num.b / nrm, self.d)
 
+    @lifted
     def __rtruediv__(self, other):
-        return QuadExt(other, 0, self.d) / self
+        return other / self
 
     def __pow__(self, n: int) -> "QuadExt":
-        if n < 0:
-            raise ValueError(f"exponent must be nonnegative, got {n}")
+        if not isinstance(n, int):
+            return NotImplemented
         return power(self, n, QuadExt(1, 0, self.d))
 
     def conjugate(self) -> "QuadExt":

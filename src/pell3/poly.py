@@ -11,7 +11,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
+from .exactnum import lifted
 from .series import truncated_product
 
 #: exponent offset of each family: polynomial n has degree n - delta
@@ -68,24 +70,26 @@ class DensePoly:
         """Evaluate by Horner's rule; exact for int or Fraction arguments."""
         return _horner(self.coeffs, x0)
 
+    def _lift(self, other) -> "DensePoly":
+        if isinstance(other, DensePoly):
+            return other
+        if isinstance(other, int):
+            return DensePoly((other,))
+        return NotImplemented
+
+    @lifted
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DensePoly(out)
+        return DensePoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self):
         return DensePoly([-c for c in self.coeffs])
 
+    @lifted
     def __sub__(self, other):
         return self + (-other)
 
+    @lifted
     def __mul__(self, other):
-        if isinstance(other, int):
-            return DensePoly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         return DensePoly(truncated_product(a, b, len(a) + len(b)))
 

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import power
-
-
-class NonUnitError(ZeroDivisionError):
-    """Reciprocal of a series whose constant term is zero."""
-
-
-class CompositionError(ValueError):
-    """Composition with an inner series of nonzero constant term."""
+from .exactnum import lifted, power
 
 
 def truncated_product(a, b, order: int) -> list:
@@ -54,49 +46,41 @@ class RatSeries:
             return RatSeries((other,), self.order)
         return NotImplemented
 
+    @lifted
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         order = min(self.order, other.order)
-        return RatSeries(
-            [a + b for a, b in zip(self.coeffs[:order], other.coeffs[:order])], order
-        )
+        return RatSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], order)
 
     __radd__ = __add__
 
     def __neg__(self):
         return RatSeries([-c for c in self.coeffs], self.order)
 
+    @lifted
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @lifted
     def __rsub__(self, other):
-        return (-self) + other
+        return other - self
 
+    @lifted
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatSeries([c * other for c in self.coeffs], self.order)
-        if not isinstance(other, RatSeries):
-            return NotImplemented
         order = min(self.order, other.order)
         return RatSeries(truncated_product(self.coeffs, other.coeffs, order), order)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "RatSeries":
-        if k < 0:
-            raise ValueError(f"exponent must be nonnegative, got {k}")
+        if not isinstance(k, int):
+            return NotImplemented
         return power(self, k, RatSeries((1,), self.order))
 
     def reciprocal(self) -> "RatSeries":
         """Series b with self * b = 1 up to the truncation order."""
         a0 = self.coeffs[0]
         if a0 == 0:
-            raise NonUnitError("series has zero constant term, no reciprocal")
+            raise ZeroDivisionError("series has zero constant term, no reciprocal")
         out = [Fraction(0)] * self.order
         out[0] = 1 / a0
         for k in range(1, self.order):
@@ -106,7 +90,7 @@ class RatSeries:
     def compose(self, inner: "RatSeries") -> "RatSeries":
         """outer(inner(z)) by Horner accumulation; inner must have zero constant term."""
         if inner.coeffs[0] != 0:
-            raise CompositionError("inner series must have zero constant term")
+            raise ValueError("inner series must have zero constant term")
         order = min(self.order, inner.order)
         acc = RatSeries((self.coeffs[order - 1],), order)
         for k in range(order - 2, -1, -1):

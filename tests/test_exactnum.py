@@ -1,11 +1,14 @@
 import math
+import operator
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pell3.exactnum import FieldMismatchError, QuadExt, gen_binomial, power
+from pell3.exactnum import QuadExt, gen_binomial, power
+from pell3.poly import DensePoly
 from pell3.series import RatSeries
 
 
@@ -74,11 +77,11 @@ class TestQuadExt:
         assert QuadExt(0, 1, 5) ** 2 == QuadExt(5, 0, 5)
 
     def test_mismatched_discriminants(self):
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(ValueError, match="cannot combine"):
             QuadExt(1, 1, 5) + QuadExt(1, 1, 7)
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(ValueError, match="cannot combine"):
             QuadExt(1, 1, 5) * QuadExt(1, 1, 7)
-        with pytest.raises(FieldMismatchError):
+        with pytest.raises(ValueError, match="cannot combine"):
             QuadExt(1, 1, 5) / QuadExt(1, 1, 7)
 
     def test_division(self):
@@ -135,3 +138,95 @@ def test_power_matches_repeated_multiplication(e):
     for n in range(21):
         assert state(power(e, n, one)) == state(e**n) == state(product)
         product = product * e
+
+
+# The operand rule: each exact type's _lift, applied by exactnum.lifted.
+EXACT_VALUES = {
+    "QuadExt": QuadExt(1, 1, 5),
+    "RatSeries": RatSeries((1, 2)),
+    "DensePoly": DensePoly((1, 2)),
+}
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+LIFTED_OPERATORS = {"QuadExt": "+-*/", "RatSeries": "+-*", "DensePoly": "+-*"}
+OPERAND_CASES = [
+    pytest.param(kind, symbol, bad, id=f"{kind}-{symbol}-{type(bad).__name__}")
+    for kind, symbols in LIFTED_OPERATORS.items()
+    for symbol in symbols
+    for bad in [1.5, "a", *(v for k, v in EXACT_VALUES.items() if k != kind)]
+]
+
+
+def names_operator(symbol):
+    return rf"for {re.escape(symbol)}( or pow\(\))?:"
+
+
+class TestOperandRule:
+    @pytest.mark.parametrize("kind, symbol, bad", OPERAND_CASES)
+    def test_unsupported_operand_names_the_operator(self, kind, symbol, bad):
+        value, op = EXACT_VALUES[kind], OPERATORS[symbol]
+        # a str takes over * as repetition on either side, and + on its left
+        # as concatenation; their TypeErrors come from str
+        text = isinstance(bad, str)
+        forward = None if text and symbol == "*" else names_operator(symbol)
+        reflected = None if text and symbol in "+*" else names_operator(symbol)
+        with pytest.raises(TypeError, match=forward):
+            op(value, bad)
+        with pytest.raises(TypeError, match=reflected):
+            op(bad, value)
+
+    @pytest.mark.parametrize("kind", ["QuadExt", "RatSeries"])
+    @pytest.mark.parametrize("exponent", [2.0, 1.5, "a", DensePoly((2,))])
+    def test_non_int_exponent_names_the_operator(self, kind, exponent):
+        with pytest.raises(TypeError, match=names_operator("**")):
+            EXACT_VALUES[kind] ** exponent
+
+    def test_negative_exponent_is_still_a_value_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RatSeries((1, 1)) ** -2
+        # power itself refuses a negative n, on which its loop would never end
+        with pytest.raises(ValueError, match="nonnegative"):
+            power(QuadExt(1, 1, 5), -1, QuadExt(1, 0, 5))
+
+    def test_no_float_or_str_through_a_reflected_operator(self):
+        q = QuadExt(1, 1, 5)
+        with pytest.raises(TypeError, match=names_operator("/")):
+            1.5 / q
+        with pytest.raises(TypeError, match=names_operator("/")):
+            "a" / q
+        with pytest.raises(TypeError, match=names_operator("-")):
+            1.5 - RatSeries((1, 2))
+
+    def test_dense_poly_takes_ints_only(self):
+        p = DensePoly((1, 2))
+        with pytest.raises(TypeError, match=names_operator("*")):
+            p * Fraction(1, 2)
+        assert p + 3 == DensePoly((4, 2))
+        assert p - 1 == DensePoly((0, 2))
+
+    @given(
+        st.builds(RatSeries, st.lists(small_fractions, min_size=1, max_size=6)),
+        st.one_of(st.integers(-20, 20), small_fractions),
+    )
+    def test_series_scalar_product_as_before(self, s, k):
+        before = RatSeries([c * k for c in s.coeffs], s.order)
+        for product in (s * k, k * s):
+            assert (product.coeffs, product.order) == (before.coeffs, before.order)
+
+    @given(st.lists(st.integers(-50, 50), max_size=6), st.integers(-20, 20))
+    def test_poly_int_product_as_before(self, coeffs, k):
+        p = DensePoly(coeffs)
+        before = DensePoly([c * k for c in p.coeffs])
+        assert (p * k).coeffs == (k * p).coeffs == before.coeffs
+
+    @given(
+        st.one_of(
+            quad_elements(5),
+            st.builds(RatSeries, st.lists(small_fractions, min_size=1, max_size=6)),
+        ),
+        st.one_of(st.integers(-20, 20), small_fractions),
+    )
+    def test_reflected_difference_as_before(self, e, k):
+        def state(x):
+            return type(x), tuple(getattr(x, slot) for slot in type(x).__slots__)
+
+        assert state(k - e) == state((-e) + k)

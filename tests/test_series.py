@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pell3.series import CompositionError, NonUnitError, RatSeries
+from pell3.series import RatSeries
 
 
 def F(a, b=1):
@@ -56,7 +56,7 @@ class TestReciprocal:
         )
 
     def test_non_unit(self):
-        with pytest.raises(NonUnitError):
+        with pytest.raises(ZeroDivisionError, match="zero constant term"):
             RatSeries((0, 1), 4).reciprocal()
 
     def test_two_sided_inverse_random(self):
@@ -90,7 +90,7 @@ class TestCompose:
         assert outer.compose(inner) == RatSeries((1, 0, 1, 0, 1), 5)
 
     def test_requires_zero_constant_term(self):
-        with pytest.raises(CompositionError):
+        with pytest.raises(ValueError, match="zero constant term"):
             RatSeries((1, 1), 3).compose(RatSeries((1, 1), 3))
 
     def test_distributes_over_add(self):
