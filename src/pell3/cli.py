@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: eval, coeffs, triangle, series, verify, binet, plot-data,
-numeric-demo, bench.  Exit codes: 0 on success, 1 when an identity check
+numeric-demo.  Exit codes: 0 on success, 1 when an identity check
 fails, 2 on usage errors.
 """
 
@@ -12,7 +12,6 @@ import functools
 import json
 import re
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -172,11 +171,8 @@ def cmd_binet(args, parser) -> int:
 def plot_rows(lo: Fraction, hi: Fraction, steps: int) -> list:
     """Exact (u, z) samples of z = u(u-2)^2 on an even rational grid."""
     span = hi - lo
-    return [
-        (u, u * (u - 2) ** 2)
-        for i in range(steps)
-        for u in (lo + span * i / (steps - 1),)
-    ]
+    grid = [lo + span * i / (steps - 1) for i in range(steps)]
+    return [(u, u * (u - 2) ** 2) for u in grid]
 
 
 def _float_range_error(command: str, hint: str) -> int:
@@ -261,30 +257,6 @@ def cmd_numeric_demo(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args, parser) -> int:
-    t0 = time.perf_counter()
-    by_recurrence = pell.recurrence_gen(args.family, args.n)
-    t1 = time.perf_counter()
-    try:
-        by_closed_form = pell.closed_form(args.family, args.n)
-    except pell.ClosedFormRangeError as exc:
-        parser.error(str(exc))
-    t2 = time.perf_counter()
-    equal = by_recurrence == by_closed_form
-    print(
-        json.dumps(
-            {
-                "family": args.family.name,
-                "n": args.n,
-                "recurrence_seconds": t1 - t0,
-                "closed_form_seconds": t2 - t1,
-                "equal": equal,
-            }
-        )
-    )
-    return EXIT_OK if equal else EXIT_IDENTITY_FAILURE
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: argparse objects reference each
@@ -346,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_nonneg, default=40)
     p.add_argument("--x", type=_rational, default=Fraction(1))
     add_format(p)
-
-    p = command("bench", cmd_bench, "time recurrence vs closed form")
-    p.add_argument("--family", type=_family, required=True)
-    p.add_argument("--n", type=_nonneg, required=True)
 
     return parser
 

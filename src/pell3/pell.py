@@ -29,10 +29,6 @@ from .exactnum import IdentityViolationError
 from .poly import DELTA, CompactPell
 
 
-class ClosedFormRangeError(ValueError):
-    """Closed-form coefficients requested below the family's valid range."""
-
-
 @dataclass(frozen=True)
 class Family:
     """A family tag: initial values p_0, p_1, p_2 as compact x-coefficients,
@@ -152,11 +148,11 @@ def closed_form(family: Family, n: int) -> CompactPell:
     is 1, and each next one is the one before times its term ratio; every
     division must be exact, and a remainder raises IdentityViolationError.
     Below the family's valid range (s needs n >= 2, sigma n >= 1) the
-    prefactor degenerates to 0/0 and ClosedFormRangeError is raised;
-    callers serve the seed rows there.
+    prefactor degenerates to 0/0 and ValueError is raised; callers serve
+    the seed rows there.
     """
     if n < family.closed_form_min:
-        raise ClosedFormRangeError(
+        raise ValueError(
             f"closed form for family {family.name} needs n >= {family.closed_form_min}, got {n}"
         )
     return CompactPell(family.name, n, _x_coeffs(family, n, _ratio_row(family, n, 1, 1)))

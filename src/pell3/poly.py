@@ -81,12 +81,18 @@ class DensePoly:
     def __add__(self, other):
         return DensePoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
+    __radd__ = __add__
+
     def __neg__(self):
         return DensePoly([-c for c in self.coeffs])
 
     @lifted
     def __sub__(self, other):
         return self + (-other)
+
+    @lifted
+    def __rsub__(self, other):
+        return other - self
 
     @lifted
     def __mul__(self, other):

@@ -568,44 +568,6 @@ class TestNumericDemo:
         assert unblocked[0] == 0
 
 
-class TestBench:
-    def test_s_at_lower_validity_bound(self, capsys):
-        code, out = run(capsys, "bench", "--family", "s", "--n", "2")
-        assert code == 0
-        result = json.loads(out)
-        assert result["equal"] is True
-        assert result["recurrence_seconds"] >= 0
-
-    def test_below_validity_bound_is_usage_error(self, capsys):
-        for n in ("0", "1"):
-            with pytest.raises(SystemExit) as exc:
-                main(["bench", "--family", "s", "--n", n])
-            assert exc.value.code == 2
-            assert "closed form for family s needs n >= 2" in capsys.readouterr().err
-
-    def test_r_at_zero(self, capsys):
-        code, out = run(capsys, "bench", "--family", "r", "--n", "0")
-        assert code == 0
-        assert json.loads(out)["equal"] is True
-
-    def test_sigma_n_one(self, capsys):
-        code, out = run(capsys, "bench", "--family", "sigma", "--n", "1")
-        assert code == 0
-        assert json.loads(out)["equal"] is True
-
-    def test_unequal_routes_exit_one(self, capsys, monkeypatch):
-        closed_form = pell.closed_form
-
-        def off_by_one(family, n):
-            poly = closed_form(family, n)
-            return CompactPell(poly.family, n, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
-
-        monkeypatch.setattr(pell, "closed_form", off_by_one)
-        code, out = run(capsys, "bench", "--family", "r", "--n", "10")
-        assert code == 1
-        assert json.loads(out)["equal"] is False
-
-
 def test_missing_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -615,7 +577,6 @@ def test_missing_command_is_usage_error():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--family", "sigma", "--n", "0"],
         ["verify", "--suite", "lagrange", "--max-n", "0"],
         ["verify", "--t-samples", "200"],
         ["binet", "--family", "r", "--n", "3", "--t", "5/3"],
@@ -742,10 +703,10 @@ class TestGoldenOutput:
 
     def test_transcript_is_well_formed(self):
         """Unique argv, one kind of expected stdout each, and an exit-0 run of
-        every command but numeric-demo (floats) and bench (timings)."""
+        every command but numeric-demo (floats)."""
         argvs = [tuple(entry["argv"]) for entry in TRANSCRIPT]
         assert len(set(argvs)) == len(argvs)
         assert all(set(e) - {"argv", "exit"} in ({"stdout"}, {"sha256"}) for e in TRANSCRIPT)
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         passing = {entry["argv"][0] for entry in TRANSCRIPT if entry["exit"] == 0}
-        assert set(sub.choices) - {"numeric-demo", "bench"} <= passing
+        assert set(sub.choices) - {"numeric-demo"} <= passing

@@ -202,6 +202,8 @@ class TestOperandRule:
             p * Fraction(1, 2)
         assert p + 3 == DensePoly((4, 2))
         assert p - 1 == DensePoly((0, 2))
+        assert 3 + p == DensePoly((4, 2))
+        assert 3 - p == DensePoly((2, -2))
 
     @given(
         st.builds(RatSeries, st.lists(small_fractions, min_size=1, max_size=6)),

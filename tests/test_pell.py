@@ -14,7 +14,6 @@ from pell3.pell import (
     R,
     S,
     SIGMA,
-    ClosedFormRangeError,
     _rows,
     by_name,
     closed_form,
@@ -120,9 +119,9 @@ class TestClosedForm:
         assert closed_form(R, 0).coeffs == ()
 
     def test_below_validity_threshold(self):
-        with pytest.raises(ClosedFormRangeError):
+        with pytest.raises(ValueError, match="closed form for family"):
             closed_form(S, 1)
-        with pytest.raises(ClosedFormRangeError):
+        with pytest.raises(ValueError, match="closed form for family"):
             closed_form(SIGMA, 0)
 
     def test_prefactors_divide_exactly(self):
@@ -282,6 +281,22 @@ class TestClosedFormCertificate:
         found = certificate_failures()
         assert found.pop(name)[0] == "term ratio: nonzero on the grid"
         assert list(found.values()) == [[], []]
+
+    @pytest.mark.parametrize("name", ["r", "s", "sigma"])
+    @pytest.mark.parametrize(
+        "axis, factor",
+        [
+            ("l", lambda n, l, m: (1 + (l - 1), 1)),
+            ("n", lambda n, l, m: (1 + (n - (3 * pell.RATIO_DEGREE + 4)), 1)),
+        ],
+        ids=["l", "n"],
+    )
+    def test_perturbation_on_one_grid_line(self, monkeypatch, name, axis, factor):
+        # the ratio is unchanged on the first line of the grid along the axis
+        # (l = 1, or the grid's first n), so one line of it cannot show the
+        # perturbation: degree d needs d + 1 values in each variable
+        self.perturb_term_ratio(monkeypatch, {name}, factor)
+        assert "term ratio: nonzero on the grid" in closed_form_certificate(FAMILIES[name])
 
     def test_perturbed_paper_numerator(self, monkeypatch):
         # n + l still obeys the step identity, and n + 1 has sigma's term
