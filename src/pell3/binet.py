@@ -54,7 +54,7 @@ _EXCLUDED_T = {
     Fraction(5, 3): "5-3t",
 }
 #: the 90 values sample_points can draw: t in (-1, 1), denominator 2..12, not excluded
-_SAMPLE_T = {Fraction(p, d) for d in range(2, 13) for p in range(1 - d, d)} - _EXCLUDED_T.keys()
+SAMPLE_T = {Fraction(p, d) for d in range(2, 13) for p in range(1 - d, d)} - _EXCLUDED_T.keys()
 
 
 @dataclass(frozen=True)
@@ -402,13 +402,13 @@ def sample_points(count: int, seed: int) -> list:
     excluded values, so repeated sweeps with one seed are reproducible and
     coefficient growth stays bounded.  More than 90 raises ValueError.
     """
-    if count > len(_SAMPLE_T):
-        raise ValueError(f"t-samples must be at most {len(_SAMPLE_T)}, got {count}")
+    if count > len(SAMPLE_T):
+        raise ValueError(f"t-samples must be at most {len(SAMPLE_T)}, got {count}")
     rng = random.Random(seed)
     points = {}
     while len(points) < count:
         den = rng.randint(2, 12)
         t = Fraction(rng.randint(-(den - 1), den - 1), den)
-        if t in _SAMPLE_T and t not in points:
+        if t in SAMPLE_T and t not in points:
             points[t] = substitution_chain(t)
     return list(points.values())

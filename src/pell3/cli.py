@@ -136,10 +136,14 @@ def cmd_series(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    try:
-        reports = verify.run_suite(args.suite, args.max_n, args.t_samples, args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    # the input errors a suite would raise, found before any suite runs:
+    # closed-form and lagrange sample no t, and only lagrange needs order >= 1
+    cap = len(binet.SAMPLE_T)
+    if args.suite not in ("closed-form", "lagrange") and args.t_samples > cap:
+        parser.error(f"t-samples must be at most {cap}, got {args.t_samples}")
+    if args.suite in ("lagrange", "all") and args.max_n == 0:
+        parser.error("order must be >= 1, got 0")
+    reports = verify.run_suite(args.suite, args.max_n, args.t_samples, args.seed)
     print(json.dumps([r.to_dict() for r in reports]))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_IDENTITY_FAILURE
 

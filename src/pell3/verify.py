@@ -1,9 +1,9 @@
 """Machine verification suites over the exact identities.
 
 Each suite sweeps an identity over a deterministic grid (index n, seeded
-rational t samples, or both) and collects exact-equality failures into a
-report.  A clean run means every checked identity held with no rounding
-and no tolerance.
+rational t samples, or both) and hands every verdict to SuiteReport.check,
+the one rule that turns a failed check into a failure entry.  A clean run
+means every checked identity held with no rounding and no tolerance.
 """
 
 from __future__ import annotations
@@ -45,10 +45,13 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def fail(self, check: str, t=None, n=None):
-        self.failures.append(
-            {"suite": self.suite, "t": None if t is None else str(t), "n": n, "check": check}
-        )
+    def check(self, passed, label: str, family: Family | None = None, t=None, n=None):
+        """Record nothing if passed, else one failure entry whose check text
+        is the label, prefixed by "<family>: " for a family's identity."""
+        if not passed:
+            check = label if family is None else f"{family.name}: {label}"
+            t = None if t is None else str(t)
+            self.failures.append({"suite": self.suite, "t": t, "n": n, "check": check})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -61,15 +64,14 @@ def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:
     report = SuiteReport("closed-form", 0, max_n)
     for family in FAMILIES.values():
         for check in closed_form_certificate(family):
-            report.fail(f"{family.name}: certificate: {check}")
+            report.check(False, f"certificate: {check}", family)
         for n, row in islice(enumerate(_rows(family)), family.closed_form_min, max_n + 1):
             try:
                 cf = _ratio_row(family, n, 1, 1)
             except IdentityViolationError:
-                report.fail(f"{family.name}: non-integral closed-form coefficient", n=n)
+                report.check(False, "non-integral closed-form coefficient", family, n=n)
                 continue
-            if cf != row:
-                report.fail(f"{family.name}: closed form differs from recurrence", n=n)
+            report.check(cf == row, "closed form differs from recurrence", family, n=n)
     return report
 
 
@@ -83,10 +85,8 @@ def _binet_sweep(family: Family, point, co, report: SuiteReport):
     terms = binet.binet_numerators(point, co.a, co.b, co.c)
     values = values_at(family, point.t)
     for n, h, (r, w, m) in zip(range(report.max_n + 1), values, terms):
-        if w:
-            report.fail(f"{family.name}: W-part nonzero", t=point.t, n=n)
-        if r * q_n != h * m:
-            report.fail(f"{family.name}: Binet value differs from recurrence", t=point.t, n=n)
+        report.check(not w, "W-part nonzero", family, point.t, n)
+        report.check(r * q_n == h * m, "Binet value differs from recurrence", family, point.t, n)
         q_n *= q
 
 
@@ -109,18 +109,14 @@ def run_binet(
         for family in FAMILIES.values():
             solved = binet.solve_coefficients(family, point)
             printed = binet.closed_form_coefficients(family, point)
-            for label, lhs, rhs in (
+            for weight, lhs, rhs in (
                 ("A", solved.a, printed.a),
                 ("B", solved.b, printed.b),
                 ("C", solved.c, printed.c),
             ):
-                if lhs != rhs:
-                    report.fail(
-                        f"{family.name}: solved weight {label} differs from closed form",
-                        t=point.t,
-                    )
-            if not solved.has_binet_structure():
-                report.fail(f"{family.name}: weight structure broken", t=point.t)
+                label = f"solved weight {weight} differs from closed form"
+                report.check(lhs == rhs, label, family, point.t)
+            report.check(solved.has_binet_structure(), "weight structure broken", family, point.t)
             _binet_sweep(family, point, solved, report)
     return report
 
@@ -137,10 +133,9 @@ def run_xi(
         terms = binet.radical_cancellation_numerators(point)
         # the binomial route comes out over q^(n+1): compare r/m with it crosswise
         for n, (r, w, m) in zip(range(max_n + 1), terms):
-            if w:
-                report.fail("W-part nonzero", t=point.t, n=n)
-            if r * q ** (n + 1) != binet.radical_binomial_numerator(n, p, q) * m:
-                report.fail("scalar differs from binomial sum", t=point.t, n=n)
+            report.check(not w, "W-part nonzero", t=point.t, n=n)
+            passed = r * q ** (n + 1) == binet.radical_binomial_numerator(n, p, q) * m
+            report.check(passed, "scalar differs from binomial sum", t=point.t, n=n)
     return report
 
 
@@ -155,8 +150,7 @@ def run_roots(
     for point in binet.sample_points(t_samples, seed):
         t = point.t
         for name, residual in binet.char_root_residuals(point).items():
-            if residual != 0:
-                report.fail(f"root {name} residual nonzero", t=t)
+            report.check(residual == 0, f"root {name} residual nonzero", t=t)
         rt = binet.roots(point)
         for check, lhs, rhs in (
             ("w2 + w3 != 1+t", rt.w2 + rt.w3, 1 + t),
@@ -168,19 +162,26 @@ def run_roots(
             ("v2 * w2 != 1", rt.v2 * rt.w2, 1),
             ("v3 * w3 != 1", rt.v3 * rt.w3, 1),
         ):
-            if lhs != rhs:
-                report.fail(check, t=t)
+            report.check(lhs == rhs, check, t=t)
         # w3^n = (r + w*W) / m
         w3_powers = binet.binet_numerators(point, 0, 0, 1)
         p, q = t.numerator, t.denominator
         for n, (r, w, m) in zip(range(max_n + 1), w3_powers):
-            num, den = horner_terms(p_polys[n].coeffs, p, q)
-            if num * m != 2 * r * den:
-                report.fail("power-sum p_n differs from extension arithmetic", t=t, n=n)
-            num, den = horner_terms(q_polys[n].coeffs, p, q)
-            if num * m != 2 * w * den:
-                report.fail("power-sum q_n differs from extension arithmetic", t=t, n=n)
+            for name, poly, part in (("p_n", p_polys[n], r), ("q_n", q_polys[n], w)):
+                num, den = horner_terms(poly.coeffs, p, q)
+                label = f"power-sum {name} differs from extension arithmetic"
+                report.check(num * m == 2 * part * den, label, t=t, n=n)
     return report
+
+
+def _raised(check, *args) -> str | None:
+    """The message of the IdentityViolationError that check(*args) raises,
+    or None when it returns."""
+    try:
+        check(*args)
+    except IdentityViolationError as exc:
+        return str(exc)
+    return None
 
 
 def run_lagrange(order: int = DEFAULT_MAX_N["lagrange"]) -> SuiteReport:
@@ -193,32 +194,23 @@ def run_lagrange(order: int = DEFAULT_MAX_N["lagrange"]) -> SuiteReport:
     closed form and lie strictly between u_59/u_58 and 27/32.
     """
     report = SuiteReport("lagrange", 0, order)
-    try:
-        lagrange.verify_inversion(order)
-    except IdentityViolationError as exc:
-        report.fail(f"inversion: {exc}", n=order)
+    error = _raised(lagrange.verify_inversion, order)
+    report.check(error is None, f"inversion: {error}", n=order)
     rows = coefficient_triangle(R, order)
-    series = lagrange.first_term_numerators(max(33, (order - 1) // 3 + 1))
-    bridge_failures = []
-    for n, coeffs in zip(range(order + 1), series):
-        if n <= 24:
-            try:
-                lagrange.check_first_term(n, coeffs[:33])
-            except IdentityViolationError as exc:
-                report.fail(f"first-term expansion: {exc}", n=n)
-        if n >= 1:
-            try:
-                lagrange.check_bridge(n, coeffs, rows[n])
-            except IdentityViolationError as exc:
-                bridge_failures.append((f"bridge: {exc}", n))
-    for check, n in bridge_failures:
-        report.fail(check, n=n)
+    series = list(islice(lagrange.first_term_numerators(max(33, (order - 1) // 3 + 1)), order + 1))
+    for n in range(min(24, order) + 1):
+        error = _raised(lagrange.check_first_term, n, series[n][:33])
+        report.check(error is None, f"first-term expansion: {error}", n=n)
+    for n in range(1, order + 1):
+        error = _raised(lagrange.check_bridge, n, series[n], rows[n])
+        report.check(error is None, f"bridge: {error}", n=n)
     n = 60
     ratio = lagrange.radius_estimate(n)
-    if ratio != Fraction(3 * (3 * n - 2) * (3 * n - 4), 16 * n * (2 * n - 1)):
-        report.fail(f"radius ratio {ratio} differs from 3(3n-2)(3n-4)/(16n(2n-1))", n=n)
-    if not lagrange.radius_estimate(n - 1) < ratio < Fraction(27, 32):
-        report.fail(f"radius ratio {ratio} not strictly between u_59/u_58 and 27/32", n=n)
+    formula = Fraction(3 * (3 * n - 2) * (3 * n - 4), 16 * n * (2 * n - 1))
+    label = f"radius ratio {ratio} "
+    report.check(ratio == formula, label + "differs from 3(3n-2)(3n-4)/(16n(2n-1))", n=n)
+    between = lagrange.radius_estimate(n - 1) < ratio < Fraction(27, 32)
+    report.check(between, label + "not strictly between u_59/u_58 and 27/32", n=n)
     return report
 
 

@@ -8,6 +8,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pell3 import binet, lagrange, pell
+from pell3 import binet, lagrange, pell, verify
 from pell3.binet import BinetCoefficients
 from pell3.cli import (
     FORMATS,
@@ -578,6 +579,7 @@ def test_missing_command_is_usage_error():
     "argv",
     [
         ["verify", "--suite", "lagrange", "--max-n", "0"],
+        ["verify", "--suite", "all", "--max-n", "0"],
         ["verify", "--t-samples", "200"],
         ["binet", "--family", "r", "--n", "3", "--t", "5/3"],
         ["plot-data", "--from", "1", "--to", "0", "--steps", "3"],
@@ -592,6 +594,40 @@ def test_late_usage_error_prints_the_command_usage(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: pell3 {argv[0]} ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--t-samples", "200"],
+        ["verify", "--suite", "all", "--max-n", "0"],
+        ["verify", "--suite", "lagrange", "--max-n", "0"],
+    ],
+    ids=" ".join,
+)
+def test_verify_usage_error_runs_no_suite(monkeypatch, argv):
+    """Input errors are found before the first suite runs."""
+    called = []
+    for name in verify.SUITES:
+        runner = "run_" + name.replace("-", "_")
+        monkeypatch.setattr(verify, runner, lambda *args, _name=runner, **kw: called.append(_name))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert called == []
+
+
+def test_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
+    """A suite that raises is a fault in the code, not in the command line."""
+    roots = binet.roots
+
+    def mixed(point):
+        rt = roots(point)
+        return replace(rt, w2=QuadExt(rt.w2.a, rt.w2.b, point.d + 1))
+
+    monkeypatch.setattr(binet, "roots", mixed)
+    with pytest.raises(ValueError, match="cannot combine elements"):
+        main(["verify", "--suite", "roots", "--max-n", "2", "--t-samples", "2"])
 
 
 def test_t_samples_past_admissible_count_is_usage_error():

@@ -90,6 +90,26 @@ class TestMutationsAreCaught:
         for family in ("r", "s", "sigma"):
             assert f"{family}: weight structure broken" in found
 
+    def test_perturbed_printed_weight_fails_only_the_weight_comparison(self, monkeypatch):
+        # B and C stay conjugates and the solved weights stay right, so only
+        # the comparison with the printed closed form can see the shift
+        printed = binet.closed_form_coefficients
+
+        def perturbed(family, point):
+            co = printed(family, point)
+            if family.name != "s":
+                return co
+            b = co.b + QuadExt(0, Fraction(1, 7), point.d)
+            return BinetCoefficients(co.a, b, b.conjugate())
+
+        monkeypatch.setattr(binet, "closed_form_coefficients", perturbed)
+        report = verify.run_binet(max_n=6, t_samples=3, seed=42)
+        assert [(f["t"], f["n"], f["check"]) for f in report.failures] == [
+            (str(point.t), None, f"s: solved weight {label} differs from closed form")
+            for point in binet.sample_points(3, 42)
+            for label in "BC"
+        ]
+
     def test_perturbed_binomial_term(self, monkeypatch):
         comb = binet.comb
         monkeypatch.setattr(binet, "comb", lambda n, k: comb(n, k) + (k == 1))
@@ -109,6 +129,35 @@ class TestMutationsAreCaught:
                 ],
             ),
             ("w1", ["root w1 residual nonzero", "w1*w2*w3 != -z", "v1 * w1 != 1"]),
+            (
+                "w2",
+                [
+                    "root w2 residual nonzero",
+                    "w2 + w3 != 1+t",
+                    "w2 * w3 != t^2-1",
+                    "w1*w2*w3 != -z",
+                    "v2 * w2 != 1",
+                ],
+            ),
+            (
+                "w3",
+                [
+                    "root w3 residual nonzero",
+                    "w2 + w3 != 1+t",
+                    "w2 * w3 != t^2-1",
+                    "w1*w2*w3 != -z",
+                    "v3 * w3 != 1",
+                ],
+            ),
+            (
+                "v3",
+                [
+                    "root v3 residual nonzero",
+                    "v2 + v3 != 1/(t-1)",
+                    "v2 * v3 != 1/(t^2-1)",
+                    "v3 * w3 != 1",
+                ],
+            ),
         ],
     )
     def test_perturbed_root_fails_its_identities_in_order(self, monkeypatch, root, failed):
@@ -270,10 +319,22 @@ class TestLagrangeSuite:
         assert [f["n"] for f in report.failures] == [60, 60]
         assert all(f["check"].startswith(f"radius ratio {ratio} ") for f in report.failures)
 
-    def test_perturbed_inversion_coefficient_fails_the_first_term_check(self, monkeypatch):
+    @pytest.fixture
+    def perturbed_inversion(self, monkeypatch):
         # C(7, 2) = 21 -> 24 keeps C(3n-2, n-1)/n integral at n = 3 (7 -> 8)
         comb = lagrange.comb
         monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + 3 * ((a, b) == (7, 2)))
+
+    def test_failures_come_in_check_order(self, perturbed_inversion):
+        """Inversion first, then every first-term failure, then every bridge one."""
+        report = verify.run_lagrange(order=30)
+        assert [(f["n"], f["check"].split(":")[0]) for f in report.failures] == (
+            [(30, "inversion")]
+            + [(n, "first-term expansion") for n in range(25)]
+            + [(n, "bridge") for n in range(10, 31)]
+        )
+
+    def test_perturbed_inversion_coefficient_fails_the_first_term_check(self, perturbed_inversion):
         report = verify.run_lagrange(order=30)
         first_term = [f for f in report.failures if f["check"].startswith("first-term")]
         assert [f["n"] for f in first_term] == list(range(25))
