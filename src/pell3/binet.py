@@ -38,7 +38,7 @@ from typing import Iterator
 
 from .exactnum import IdentityViolationError, QuadExt
 from .pell import Family
-from .poly import DensePoly
+from .poly import DensePoly, horner_terms
 
 
 class DegenerateParameterError(ValueError):
@@ -312,29 +312,39 @@ def radical_cancellation(n: int, point: SubstitutionPoint) -> tuple:
     return Fraction(r, m), Fraction(w, m)
 
 
-def radical_binomial_numerator(n: int, p: int, q: int) -> int:
-    """radical_cancellation_binomial(n, p/q) times q^(n+1), an integer."""
-    p5, p1 = 5 * q - 3 * p, q + p
-    even = sum(comb(n, 2 * k) * p5**k * p1 ** (n - k) for k in range(n // 2 + 1))
-    odd = sum(comb(n, 2 * k + 1) * p5**k * p1 ** (n - k) for k in range((n + 1) // 2))
-    return p5 * (2 * even + 6 * odd)
+def radical_binomial_coefficients(n: int) -> list:
+    """The t-independent row [c_0, ..., c_{n//2}] of
+    radical_cancellation_binomial's sum, c_k = 2*C(n,2k) + 6*C(n,2k+1)."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    return [2 * comb(n, 2 * k) + 6 * comb(n, 2 * k + 1) for k in range(n // 2 + 1)]
+
+
+def radical_binomial_numerator(n: int, row: list, p: int, q: int) -> int:
+    """radical_cancellation_binomial(n, p/q) times q^(n+1), an integer,
+    from row = radical_binomial_coefficients(n)."""
+    num, _ = horner_terms(row[::-1], q + p, 5 * q - 3 * p)
+    return num * (q + p) ** (n - n // 2)
 
 
 def radical_cancellation_binomial(n: int, t) -> Fraction:
     """Binomial-expansion route to the radical_cancellation scalar.
 
     Expanding (1+t +- W)^n and replacing W^2 = (1+t)(5-3t) collapses the
-    combination to
+    combination to one sum over k <= n/2,
 
-        (5-3t) * [ 2*sum_k C(n,2k) (5-3t)^k (1+t)^(n-k)
-                 + 6*sum_k C(n,2k+1) (5-3t)^k (1+t)^(n-k) ].
+        (5-3t) * sum_k [2*C(n,2k) + 6*C(n,2k+1)] (5-3t)^k (1+t)^(n-k),
 
-    At t = p/q the sums run on the integers 5q-3p and q+p, over q^(n+1)
+    the even and odd binomial terms sharing their power.  The bracket is
+    the row radical_binomial_coefficients(n), free of t, so a sweep over t
+    (verify's xi suite) builds each row once.  At t = p/q the sum runs by
+    Horner on the integers 5q-3p and q+p, over q^(n+1)
     (radical_binomial_numerator).
     """
     t = Fraction(t)
     p, q = t.numerator, t.denominator
-    return Fraction(radical_binomial_numerator(n, p, q), q ** (n + 1))
+    row = radical_binomial_coefficients(n)
+    return Fraction(radical_binomial_numerator(n, row, p, q), q ** (n + 1))
 
 
 def power_sums(max_n: int) -> tuple:

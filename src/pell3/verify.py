@@ -128,13 +128,14 @@ def run_xi(
 ) -> SuiteReport:
     """Radical cancellation: extension arithmetic vs. binomial double sum."""
     report = SuiteReport("xi", t_samples, max_n)
+    rows = [binet.radical_binomial_coefficients(n) for n in range(max_n + 1)]
     for point in binet.sample_points(t_samples, seed):
         p, q = point.t.numerator, point.t.denominator
         terms = binet.radical_cancellation_numerators(point)
         # the binomial route comes out over q^(n+1): compare r/m with it crosswise
-        for n, (r, w, m) in zip(range(max_n + 1), terms):
+        for n, (row, (r, w, m)) in enumerate(zip(rows, terms)):
             report.check(not w, "W-part nonzero", t=point.t, n=n)
-            passed = r * q ** (n + 1) == binet.radical_binomial_numerator(n, p, q) * m
+            passed = r * q ** (n + 1) == binet.radical_binomial_numerator(n, row, p, q) * m
             report.check(passed, "scalar differs from binomial sum", t=point.t, n=n)
     return report
 

@@ -1,9 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pell3 import binet, verify
@@ -14,6 +15,8 @@ from pell3.binet import (
     char_root_residuals,
     closed_form_coefficients,
     power_sums,
+    radical_binomial_coefficients,
+    radical_binomial_numerator,
     radical_cancellation,
     radical_cancellation_binomial,
     roots,
@@ -239,6 +242,25 @@ class TestRadicalCancellation:
             assert wpart == 0
             assert scalar == radical_cancellation_binomial(n, pt.t)
 
+    def test_binomial_rows(self):
+        rows = [radical_binomial_coefficients(n) for n in range(3)]
+        assert rows == [[2], [8], [14, 2]]
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+            radical_binomial_coefficients(-1)
+        with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+            radical_cancellation_binomial(-1, Fraction(1, 3))
+
+
+def two_sum_binomial_numerator(n, p, q):
+    """The even and odd binomial sums of radical_cancellation_binomial,
+    kept apart and powered term by term: the oracle for the merged row."""
+    p5, p1 = 5 * q - 3 * p, q + p
+    even = sum(comb(n, 2 * k) * p5**k * p1 ** (n - k) for k in range(n // 2 + 1))
+    odd = sum(comb(n, 2 * k + 1) * p5**k * p1 ** (n - k) for k in range((n + 1) // 2))
+    return p5 * (2 * even + 6 * odd)
+
 
 class TestPowerSums:
     def test_small_polynomials(self):
@@ -299,6 +321,22 @@ def test_integer_kernels_off_the_sample_grid(t, family, n):
     scalar, wpart = radical_cancellation(n, pt)
     assert wpart == 0
     assert scalar == radical_cancellation_binomial(n, t)
+
+
+#: t = -1 and t = 5/3 zero 1+t and 5-3t, the two Horner bases
+ZERO_BASE_T = st.sampled_from([Fraction(-1), Fraction(5, 3)])
+
+
+@settings(deadline=None)
+@given(st.one_of(OFF_GRID_T, ZERO_BASE_T), st.integers(0, 120))
+@example(Fraction(-1), 120)
+@example(Fraction(5, 3), 119)
+def test_merged_binomial_row_matches_the_two_sums(t, n):
+    p, q = t.numerator, t.denominator
+    expected = two_sum_binomial_numerator(n, p, q)
+    row = radical_binomial_coefficients(n)
+    assert radical_binomial_numerator(n, row, p, q) == expected
+    assert radical_cancellation_binomial(n, t) == Fraction(expected, q ** (n + 1))
 
 
 def _det3(m):

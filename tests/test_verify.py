@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -115,6 +116,20 @@ class TestMutationsAreCaught:
         monkeypatch.setattr(binet, "comb", lambda n, k: comb(n, k) + (k == 1))
         found = checks(verify.run_xi(max_n=6, t_samples=3, seed=42))
         assert found == {"scalar differs from binomial sum"}
+
+    def test_odd_binomial_weight_six_to_five(self, monkeypatch):
+        # the paper's 6*C(n,2k+1) misread as 5: wrong from n = 1 on, at every t
+        monkeypatch.setattr(
+            binet,
+            "radical_binomial_coefficients",
+            lambda n: [2 * comb(n, 2 * k) + 5 * comb(n, 2 * k + 1) for k in range(n // 2 + 1)],
+        )
+        report = verify.run_xi(6, 3, 42)
+        assert [(f["t"], f["n"], f["check"]) for f in report.failures] == [
+            (str(point.t), n, "scalar differs from binomial sum")
+            for point in binet.sample_points(3, 42)
+            for n in range(1, 7)
+        ]
 
     @pytest.mark.parametrize(
         "root, failed",
