@@ -6,10 +6,10 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mutants import ROW, apply, assert_killed, moved
 
-from pell3 import binet, verify
+from pell3 import binet
 from pell3.binet import (
-    BinetCoefficients,
     DegenerateParameterError,
     binet_eval,
     char_root_residuals,
@@ -24,7 +24,7 @@ from pell3.binet import (
     solve_coefficients,
     substitution_chain,
 )
-from pell3.exactnum import IdentityViolationError, QuadExt
+from pell3.exactnum import QuadExt
 from pell3.pell import FAMILIES, R, S, SIGMA, recurrence_gen, values_at
 from pell3.poly import DensePoly
 
@@ -158,17 +158,7 @@ class TestBinetEval:
         with pytest.raises(ValueError):
             binet_eval(R, -1, POINTS[0])
 
-    def test_broken_weight_structure_raises(self, monkeypatch):
-        # moving W from B to A keeps the n = 0 sum, W-part included, intact
-        def shifted(family, point):
-            co = solve(family, point)
-            w = QuadExt(0, 1, point.d)
-            return BinetCoefficients(co.a + w, co.b - w, co.c)
-
-        solve = solve_coefficients
-        monkeypatch.setattr(binet, "solve_coefficients", shifted)
-        with pytest.raises(IdentityViolationError, match="conj"):
-            binet_eval(R, 0, POINTS[1])
+    test_broken_weight_structure_raises = moved("weight-structure-at-n-0")
 
 
 class TestNumeratorsStart:
@@ -183,43 +173,15 @@ class TestNumeratorsStart:
                 assert next(binet.binet_numerators(pt, co.a, co.b, co.c, k)) == term, (family, k)
 
 
-def shifted_numerators(dr, dw):
-    """binet.binet_numerators with dr added to r and dw to the W-part w."""
-    numerators = binet.binet_numerators
-
-    def shifted(point, a, b, c):
-        for r, w, m in numerators(point, a, b, c):
-            yield r + dr, w + dw, m
-
-    return shifted
-
-
 class TestWPartUnits:
     """binet_numerators reports W-parts in units of W; callers take them as is."""
 
-    @pytest.mark.parametrize(
-        "dr, dw, check",
-        [(0, 1, "power-sum q_n differs"), (1, 0, "power-sum p_n differs")],
+    test_run_roots_reads_each_part = moved(
+        "W-part-plus-one-roots",
+        "rational-part-plus-one-roots",
+        ids=["0-1-power-sum q_n differs", "1-0-power-sum p_n differs"],
     )
-    def test_run_roots_reads_each_part(self, monkeypatch, dr, dw, check):
-        monkeypatch.setattr(binet, "binet_numerators", shifted_numerators(dr, dw))
-        found = {f["check"] for f in verify.run_roots(4, 2, 42).failures}
-        assert found == {f"{check} from extension arithmetic"}
-
-    def test_binet_eval_reports_w_part_in_w(self, monkeypatch):
-        pt, n = POINTS[1], 3
-        co = solve_coefficients(S, pt)
-        r, w, m = list(islice(binet.binet_numerators(pt, co.a, co.b, co.c), n + 1))[n]
-        assert w == 0
-        numerators = binet.binet_numerators
-
-        def shifted(point, a, b, c, start=0):
-            for r, w, m in numerators(point, a, b, c, start):
-                yield r, w + 1, m
-
-        monkeypatch.setattr(binet, "binet_numerators", shifted)
-        with pytest.raises(IdentityViolationError, match=f"W-part {Fraction(1, m)} did not"):
-            binet_eval(S, n, pt)
+    test_binet_eval_reports_w_part_in_w = moved("W-part-plus-one-at-n-3")
 
 
 class TestRadicalCancellation:
@@ -441,9 +403,10 @@ def test_integer_residuals_at_chosen_t(t):
 
 
 def test_root_off_by_a_seventh_leaves_a_residual(monkeypatch):
-    monkeypatch.setattr(binet, "roots", lambda point: shifted_roots(point, Fraction(1, 7)))
+    """verify's verdict is the table's row; off its cubic, the root's integer
+    residual still equals the QuadExt reference."""
+    assert_killed(ROW["root-w2-W-part"])
+    apply(monkeypatch, ROW["root-w2-W-part"])
     residuals = char_root_residuals(POINTS[1])
     assert residuals["w2"] != 0
-    assert residuals == quadext_residuals(POINTS[1], shifted_roots(POINTS[1], Fraction(1, 7)))
-    found = {f["check"] for f in verify.run_roots(6, 3, 42).failures}
-    assert {check for check in found if "residual" in check} == {"root w2 residual nonzero"}
+    assert residuals == quadext_residuals(POINTS[1], binet.roots(POINTS[1]))

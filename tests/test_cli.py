@@ -3,12 +3,10 @@ import contextlib
 import csv
 import functools
 import hashlib
-import inspect
 import io
 import json
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -16,9 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mutants import ROW, apply, moved
 
-from pell3 import binet, lagrange, pell, verify
-from pell3.binet import BinetCoefficients
+from pell3 import lagrange, pell, verify
 from pell3.cli import (
     FORMATS,
     _csv_lines,
@@ -29,7 +27,6 @@ from pell3.cli import (
     plot_rows,
     render_row,
 )
-from pell3.exactnum import QuadExt
 from pell3.poly import CompactPell
 
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -339,13 +336,9 @@ class TestSeries:
         assert exc.value.code == 2
 
 
-XI_ARGV = ("verify", "--suite", "xi", "--max-n", "5", "--t-samples", "2")
-
-
-def break_xi(monkeypatch):
-    """Puts the binomial side of every xi check off by one."""
-    numerator = binet.radical_binomial_numerator
-    monkeypatch.setattr(binet, "radical_binomial_numerator", lambda *args: numerator(*args) + 1)
+#: the binomial side of every xi check off by one, and its verify argv
+XI_FAULT = ROW["binomial-sum-plus-one"]
+XI_ARGV = XI_FAULT.run[1:]
 
 
 class TestVerify:
@@ -374,25 +367,20 @@ class TestVerify:
     def test_seed_env_var_is_ignored(self, capsys, monkeypatch):
         """Only argv sets the seed; a failing report lists its t, so a seed
         read from elsewhere would show."""
-        break_xi(monkeypatch)
+        apply(monkeypatch, XI_FAULT)
         _, out = run(capsys, *XI_ARGV)
         monkeypatch.setenv("PELL3_SEED", "7")
         assert run(capsys, *XI_ARGV)[1] == out
 
     def test_seed_reaches_the_sampler(self, capsys, monkeypatch):
-        break_xi(monkeypatch)
+        apply(monkeypatch, XI_FAULT)
 
         def failing_t(*seed):
             return {f["t"] for f in json.loads(run(capsys, *XI_ARGV, *seed)[1])[0]["failures"]}
 
         assert failing_t("--seed", "7") != failing_t("--seed", "42") == failing_t()
 
-    def test_failed_check_exits_one(self, capsys, monkeypatch):
-        break_xi(monkeypatch)
-        code, out = run(capsys, *XI_ARGV)
-        assert code == 1
-        failures = json.loads(out)[0]["failures"]
-        assert failures and all(f["check"] == "scalar differs from binomial sum" for f in failures)
+    test_failed_check_exits_one = moved(XI_FAULT.id)
 
 
 class TestBinetCommand:
@@ -407,52 +395,9 @@ class TestBinetCommand:
             main(["binet", "--family", "r", "--n", "3", "--t", "1"])
         assert exc.value.code == 2
 
-    def test_broken_weight_structure_exits_one(self, capsys, monkeypatch):
-        # moving W from B to A, as in test_binet's test_broken_weight_structure_raises
-        solve = binet.solve_coefficients
-
-        def shifted(family, point):
-            co = solve(family, point)
-            w = QuadExt(0, 1, point.d)
-            return BinetCoefficients(co.a + w, co.b - w, co.c)
-
-        monkeypatch.setattr(binet, "solve_coefficients", shifted)
-        code, out = run(capsys, "binet", "--family", "r", "--n", "5", "--t=1/2")
-        assert code == 1
-        assert "conj" in json.loads(out)["error"]
-
-    def test_recurrence_mismatch_exits_one(self, capsys, monkeypatch):
-        values = pell.values_at
-        monkeypatch.setattr(pell, "values_at", lambda family, t: islice(values(family, t), 3, None))
-        code, out = run(capsys, "binet", "--family", "r", "--n", "5", "--t=1/2")
-        assert code == 1
-        assert json.loads(out)["matches_recurrence"] is False
-
-    @pytest.mark.parametrize(
-        "module, name, old, new",
-        [
-            (pell, "values_at", "(q - p) ** 2 * (q + p)", "(q - p) * (q + p) ** 2"),
-            (pell, "values_at", "s[0] * q**n", "s[0] * q ** max(n - 1, 0)"),
-            (binet, "_power", "rx, ry = 1, 0", "rx, ry = (x, y) if n % 2 else (1, 0)"),
-        ],
-        ids=["Z-factor", "seed-scale", "odd-exponent"],
-    )
-    def test_mutant_is_caught(self, capsys, monkeypatch, module, name, old, new):
-        monkeypatch.setattr(module, name, mutant(module, name, old, new))
-        for family in ("r", "s", "sigma"):
-            for n in (5, 9, 3001):
-                code, out = run(capsys, "binet", "--family", family, "--n", str(n), "--t=-5/7")
-                assert code == 1
-                assert json.loads(out).get("matches_recurrence") is not True
-
-
-def mutant(module, name: str, old: str, new: str):
-    """The function module.name compiled from its source with old replaced by new."""
-    source = inspect.getsource(getattr(module, name))
-    assert source.count(old) == 1
-    namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
-    return namespace[name]
+    test_broken_weight_structure_exits_one = moved("weight-structure-at-n-0")
+    test_recurrence_mismatch_exits_one = moved("values-from-n-3")
+    test_mutant_is_caught = moved("Z-factor", "seed-scale", "odd-exponent", ids=str)
 
 
 @pytest.mark.parametrize(
@@ -615,17 +560,8 @@ def test_verify_usage_error_runs_no_suite(monkeypatch, argv):
     assert called == []
 
 
-def test_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
-    """A suite that raises is a fault in the code, not in the command line."""
-    roots = binet.roots
-
-    def mixed(point):
-        rt = roots(point)
-        return replace(rt, w2=QuadExt(rt.w2.a, rt.w2.b, point.d + 1))
-
-    monkeypatch.setattr(binet, "roots", mixed)
-    with pytest.raises(ValueError, match="cannot combine elements"):
-        main(["verify", "--suite", "roots", "--max-n", "2", "--t-samples", "2"])
+# a suite that raises is a fault in the code, not in the command line
+test_fault_inside_a_suite_is_not_a_usage_error = moved("mixed-discriminant")
 
 
 def test_t_samples_past_admissible_count_is_usage_error():

@@ -3,9 +3,8 @@ from math import comb as binomial
 from math import gcd
 
 import pytest
+from mutants import moved
 
-from pell3 import lagrange
-from pell3.exactnum import IdentityViolationError
 from pell3.lagrange import (
     first_term_coefficient,
     first_term_numerators,
@@ -106,22 +105,8 @@ class TestRadius:
             radius_estimate(9)
 
 
-def test_perturbed_inversion_coefficient_is_caught(monkeypatch):
-    # C(7, 2) = 21 -> 24 keeps C(3n-2, n-1)/n integral at n = 3 (7 -> 8)
-    comb = lagrange.comb
-    monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + 3 * ((a, b) == (7, 2)))
-    with pytest.raises(IdentityViolationError, match="index 3"):
-        verify_inversion(8)
-    with pytest.raises(IdentityViolationError, match="coefficient 3"):
-        first_term_series(5, 8)
-
-
-def test_inexact_inversion_division_is_caught(monkeypatch):
-    # C(7, 2) = 21 -> 22 leaves a remainder in C(3n-2, n-1)/n at n = 3
-    comb = lagrange.comb
-    monkeypatch.setattr(lagrange, "comb", lambda a, b: comb(a, b) + ((a, b) == (7, 2)))
-    with pytest.raises(IdentityViolationError, match="not divisible by n=3"):
-        verify_inversion(8)
+test_perturbed_inversion_coefficient_is_caught = moved("inversion-coefficient-3")
+test_inexact_inversion_division_is_caught = moved("inexact-inversion-division")
 
 
 def first_term_by_squaring(n: int, order: int) -> list:

@@ -7,8 +7,9 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mutants import ROW, assert_killed, certificate, moved
 
-from pell3 import pell, verify
+from pell3 import pell
 from pell3.pell import (
     FAMILIES,
     R,
@@ -17,14 +18,12 @@ from pell3.pell import (
     _rows,
     by_name,
     closed_form,
-    closed_form_certificate,
     coefficient_digits,
     coefficient_triangle,
     recurrence_gen,
     triangle_csv,
     values_at,
 )
-from pell3.exactnum import IdentityViolationError
 from pell3.poly import CompactPell
 
 
@@ -211,17 +210,9 @@ class TestCoefficientDigits:
         )
         assert coefficient_digits(family, n) == [str(c) for c in closed_form(family, n).coeffs]
 
-    def test_decimal_remainder_raises(self, monkeypatch):
-        ratio = pell._term_ratio
-
-        def leaves_a_remainder(name, n, l, m):
-            num, den = ratio(name, n, l, m)
-            return (num + 1, den) if l == 500 else (num, den)
-
+    def test_decimal_remainder_raises(self):
         assert 3000 - S.delta >= pell.DECIMAL_MIN_TOP
-        monkeypatch.setattr(pell, "_term_ratio", leaves_a_remainder)
-        with pytest.raises(IdentityViolationError, match="l=500"):
-            coefficient_digits(S, 3000)
+        assert_killed(ROW["decimal-remainder"])
 
     def test_steps_run_in_the_exact_context(self, monkeypatch):
         signals = (
@@ -243,119 +234,27 @@ class TestCoefficientDigits:
         assert seen == {(decimal.MAX_PREC, decimal.MAX_EMAX, True)}
 
 
-def certificate_failures() -> dict:
-    return {name: closed_form_certificate(family) for name, family in FAMILIES.items()}
+#: the grid line (axis-family) each one-line perturbation of the term ratio keeps
+GRID_LINES = ["l-r", "l-s", "l-sigma", "n-r", "n-s", "n-sigma"]
 
 
 class TestClosedFormCertificate:
-    """Each mutant of the code the certificate covers must break it."""
-
-    @staticmethod
-    def perturb_term_ratio(monkeypatch, families, factor):
-        """Multiply the term ratio of the named families by factor(n, l, m)."""
-        term_ratio = pell._term_ratio
-
-        def perturbed(name, n, l, m):
-            num, den = term_ratio(name, n, l, m)
-            if name not in families:
-                return num, den
-            f_num, f_den = factor(n, l, m)
-            return num * f_num, den * f_den
-
-        monkeypatch.setattr(pell, "_term_ratio", perturbed)
+    """Each mutant of the code the certificate covers must break it: rows of
+    the mutant table."""
 
     def test_holds_for_every_family(self):
-        assert certificate_failures() == {"r": [], "s": [], "sigma": []}
+        assert certificate() == {"r": [], "s": [], "sigma": []}
 
-    def test_perturbed_binomial_step(self, monkeypatch):
-        # the factor m-l+3 of C(m,l)/C(m+2,l-1) read as m-l+4
-        self.perturb_term_ratio(monkeypatch, FAMILIES, lambda n, l, m: (m - l + 4, m - l + 3))
-        for failures in certificate_failures().values():
-            assert failures[0] == "term ratio: nonzero on the grid"
-            assert failures[1].startswith("base row")
-
-    @pytest.mark.parametrize("name", ["s", "sigma"])
-    def test_perturbed_prefactor(self, monkeypatch, name):
-        # the prefactor times n+l+1
-        self.perturb_term_ratio(monkeypatch, {name}, lambda n, l, m: (n + l + 1, n + l))
-        found = certificate_failures()
-        assert found.pop(name)[0] == "term ratio: nonzero on the grid"
-        assert list(found.values()) == [[], []]
-
-    @pytest.mark.parametrize("name", ["r", "s", "sigma"])
-    @pytest.mark.parametrize(
-        "axis, factor",
-        [
-            ("l", lambda n, l, m: (1 + (l - 1), 1)),
-            ("n", lambda n, l, m: (1 + (n - (3 * pell.RATIO_DEGREE + 4)), 1)),
-        ],
-        ids=["l", "n"],
+    test_perturbed_binomial_step = moved("binomial-step")
+    test_perturbed_prefactor = moved("prefactor-s", "prefactor-sigma", ids=["s", "sigma"])
+    test_perturbation_on_one_grid_line = moved(
+        *(f"grid-line-{case}" for case in GRID_LINES), ids=GRID_LINES
     )
-    def test_perturbation_on_one_grid_line(self, monkeypatch, name, axis, factor):
-        # the ratio is unchanged on the first line of the grid along the axis
-        # (l = 1, or the grid's first n), so one line of it cannot show the
-        # perturbation: degree d needs d + 1 values in each variable
-        self.perturb_term_ratio(monkeypatch, {name}, factor)
-        assert "term ratio: nonzero on the grid" in closed_form_certificate(FAMILIES[name])
-
-    def test_perturbed_paper_numerator(self, monkeypatch):
-        # n + l still obeys the step identity, and n + 1 has sigma's term
-        # ratio: each check catches what the others let through
-        monkeypatch.setitem(pell.PAPER_NUMERATOR, "sigma", lambda n, l, m: n + l)
-        assert closed_form_certificate(SIGMA) == ["term ratio: nonzero on the grid"]
-        monkeypatch.setitem(pell.PAPER_NUMERATOR, "sigma", lambda n, l, m: n + 1)
-        assert closed_form_certificate(SIGMA) == [
-            "step identity: nonzero on the grid",
-            "first coefficient: nonzero on the grid",
-        ]
-
-    def test_base_row_off_by_one(self, monkeypatch):
-        unperturbed = pell.closed_form
-
-        def off_by_one(family, n):
-            poly = unperturbed(family, n)
-            if (family.name, n) != ("r", 3):
-                return poly
-            return CompactPell("r", 3, (poly.coeffs[0] + 1,) + poly.coeffs[1:])
-
-        monkeypatch.setattr(pell, "closed_form", off_by_one)
-        found = certificate_failures()
-        assert found["r"] == ["base row 3 differs from the recurrence"]
-        assert found["s"] == found["sigma"] == []
-
-    def test_digits_off_by_one(self, monkeypatch):
-        unperturbed = pell.coefficient_digits
-
-        def off_by_one(family, n):
-            digits = unperturbed(family, n)
-            if (family.name, n) != ("r", 3):
-                return digits
-            return [str(int(digits[0]) + 1)] + digits[1:]
-
-        monkeypatch.setattr(pell, "coefficient_digits", off_by_one)
-        found = certificate_failures()
-        assert found["r"] == ["base row 3 differs from the recurrence"]
-        assert found["s"] == found["sigma"] == []
-
-    def test_grid_of_d_points(self, monkeypatch):
-        monkeypatch.setattr(pell, "_grid", lambda d, start: range(start, start + d))
-        for failures in certificate_failures().values():
-            assert failures == [
-                f"step identity: grid too small for degree {pell.STEP_DEGREE}",
-                f"term ratio: grid too small for degree {pell.RATIO_DEGREE}",
-                f"first coefficient: grid too small for degree {pell.FIRST_DEGREE}",
-            ]
-
-    def test_failure_is_one_closed_form_report_entry(self, monkeypatch):
-        monkeypatch.setattr(pell, "_grid", lambda d, start: range(start, start + d))
-        report = verify.run_closed_form(12)
-        assert len(report.failures) == 9
-        assert report.failures[0] == {
-            "suite": "closed-form",
-            "t": None,
-            "n": None,
-            "check": "r: certificate: step identity: grid too small for degree 2",
-        }
+    test_perturbed_paper_numerator = moved("paper-sigma-n-plus-l", "paper-sigma-n-plus-1")
+    test_base_row_off_by_one = moved("closed-form-base-row")
+    test_digits_off_by_one = moved("digits-base-row")
+    test_grid_of_d_points = moved("grid-of-d-points")
+    test_failure_is_one_closed_form_report_entry = moved("grid-of-d-points-verify")
 
     def test_stated_degree_bounds(self):
         sympy = pytest.importorskip("sympy")

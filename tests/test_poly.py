@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pell3.pell import FAMILIES, R, SIGMA, recurrence_gen
-from pell3.poly import DELTA, CompactPell, DensePoly
+from pell3.pell import FAMILIES, R, SIGMA, coefficient_triangle, recurrence_gen
+from pell3.poly import DELTA, CompactPell, DensePoly, horner_terms
 
 R18_COEFFS = (131072, 245760, 159744, 42240, 4032, 84)
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -152,6 +152,19 @@ class TestCompactPell:
                 for x0 in xs:
                     x0 = Fraction(x0)
                     assert dense(x0) == x0 ** (n - p.delta) * p.eval_in_z(-(x0**-3))
+
+    @pytest.mark.parametrize("family", list(FAMILIES.values()), ids=lambda f: f.name)
+    def test_horner_pair_agrees_with_eval_in_z(self, family):
+        rows = coefficient_triangle(family, 80)
+        # t on and off the Binet sample grid, beyond 5/3 included, at z = (1-t)^2 (1+t)
+        for t in [Fraction(0), Fraction(1, 2), Fraction(-5, 7), Fraction(11, 12), Fraction(7, 3)]:
+            z = (1 - t) ** 2 * (1 + t)
+            for n, row in enumerate(rows):
+                poly = CompactPell(family.name, n, row)
+                num, den = horner_terms(poly.coeffs, (-z).numerator, (-z).denominator)
+                value = poly.eval_in_z(z)
+                assert Fraction(num, den) == value
+                assert value == sum(c * (-z) ** l for l, c in enumerate(row))
 
     def test_validation(self):
         with pytest.raises(ValueError):
