@@ -75,55 +75,58 @@ def _print_records(fmt: str, header: list, rows: list) -> None:
         print(_csv_lines(header, rows), end="")
 
 
-def render_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> str:
-    """Stdout of ``eval`` or ``coeffs`` for row n, from the decimal strings
-    of its x-coefficients.  ``coeffs`` prints them all by index l; ``eval``
-    prints the nonzero ones at exponent n - delta - 3l, highest first (the
-    three families have no negative coefficients).  The text is assembled
-    directly: digit strings, ints and the family names r, s and sigma need
-    no quoting or escaping, so with json.dumps' separators ", " and ": " it
-    is byte for byte what json.dumps and csv.writer print."""
-    if command == "coeffs":
-        if fmt == "plain":
-            return (" ".join(digits) or "0") + "\n"
-        if fmt == "csv":
-            return "l,coeff\n" + "".join([f"{l},{d}\n" for l, d in enumerate(digits)])
-        coeffs = ", ".join([f'"{d}"' for d in digits])
-        return f'{{"family": "{family.name}", "n": {n}, "coeffs": [{coeffs}]}}\n'
-    terms = [(n - family.delta - 3 * l, d) for l, d in enumerate(digits) if d != "0"]
-    if fmt == "plain":
-        return ("+".join([plain_term(e, d) for e, d in terms]) or "0") + "\n"
+def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> None:
+    """Write the stdout of ``eval`` or ``coeffs`` for row n, from the decimal
+    strings of its x-coefficients, one write per term as it is formatted.
+    ``coeffs`` prints them all by index l; ``eval`` prints the nonzero ones
+    at exponent n - delta - 3l, highest first (the three families have no
+    negative coefficients).  The text is assembled directly: digit strings,
+    ints and the family names r, s and sigma need no quoting or escaping, so
+    with json.dumps' separators ", " and ": " it is byte for byte what
+    json.dumps and csv.writer print."""
+    write = sys.stdout.write
+    coeffs = command == "coeffs"
+    if coeffs:
+        terms = enumerate(digits)
+    else:
+        top = n - family.delta
+        terms = ((top - 3 * l, d) for l, d in enumerate(digits) if d != "0")
     if fmt == "csv":
-        return "exp,coeff\n" + "".join([f"{e},{d}\n" for e, d in terms])
-    json_terms = ", ".join([f'{{"exp": {e}, "coeff": "{d}"}}' for e, d in terms])
-    return f'{{"family": "{family.name}", "n": {n}, "terms": [{json_terms}]}}\n'
+        items = (f"{k},{d}\n" for k, d in terms)
+        head, between, tail = ("l" if coeffs else "exp") + ",coeff\n", "", ""
+    elif fmt == "plain":
+        items = (d if coeffs else plain_term(k, d) for k, d in terms)
+        head, between, tail = "", " " if coeffs else "+", "\n"
+    else:
+        items = (f'"{d}"' if coeffs else f'{{"exp": {k}, "coeff": "{d}"}}' for k, d in terms)
+        key = "coeffs" if coeffs else "terms"
+        head, between, tail = f'{{"family": "{family.name}", "n": {n}, "{key}": [', ", ", "]}\n"
+    write(head)
+    sep = ""
+    for item in items:
+        write(sep + item)
+        sep = between
+    if not sep and fmt == "plain":
+        write("0")
+    write(tail)
 
 
 def cmd_row(args, parser) -> int:
+    # every division of the row is checked before its first byte is written
     digits = pell.coefficient_digits(args.family, args.n)
-    print(render_row(args.command, args.family, args.n, digits, args.format), end="")
+    write_row(args.command, args.family, args.n, digits, args.format)
     return EXIT_OK
 
 
 def cmd_triangle(args, parser) -> int:
-    """Rows 0..max-n; json and plain are assembled as in ``render_row``,
-    each row by one %-template as in ``pell.triangle_csv``."""
-    if args.format == "csv":
-        print(pell.triangle_csv(args.family, args.max_n), end="")
-        return EXIT_OK
-    rows = pell.coefficient_triangle(args.family, args.max_n)
-    if args.format == "plain":
-        print("".join([(" ".join(["%d"] * len(row)) + "\n") % row for row in rows]), end="")
-    else:
-        json_rows = ", ".join([("[" + ", ".join(['"%d"'] * len(row)) + "]") % row for row in rows])
-        print(f'{{"family": "{args.family.name}", "max_n": {args.max_n}, "rows": [{json_rows}]}}')
+    pell.write_triangle(sys.stdout, args.family, args.max_n, args.format)
     return EXIT_OK
 
 
 def cmd_series(args, parser) -> int:
     """Coefficients 1..order as num/den in lowest terms, which is str() of
     their Fraction (the denominator is never 1), assembled as in
-    ``render_row``."""
+    ``write_row``."""
     terms = [lagrange.inversion_lowest_terms(n) for n in range(1, args.order + 1)]
     if args.format == "plain":
         print("".join(["%d/%d\n" % t for t in terms]), end="")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from math import comb
 from operator import add, lshift
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .exactnum import IdentityViolationError
 from .poly import DELTA, CompactPell
@@ -203,29 +203,51 @@ def coefficient_digits(family: Family, n: int) -> list:
 
 
 def coefficient_triangle(family: Family, max_n: int) -> list:
-    """Rows 0..max_n of compact x-coefficients, generated by recurrence."""
+    """Rows 0..max_n of compact x-coefficients, generated by recurrence and
+    all held at once; ``write_triangle`` prints them one row at a time."""
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     rows = islice(_rows(family), max_n + 1)
     return [_x_coeffs(family, n, row) for n, row in enumerate(rows)]
 
 
-def triangle_csv(family: Family, max_n: int) -> str:
-    """Triangle as CSV with header ``n,l,coeff``; coefficients are decimal
-    strings since they outgrow machine words quickly.
+def write_triangle(out: TextIO, family: Family, max_n: int, fmt: str) -> None:
+    """Write rows 0..max_n of compact x-coefficients to ``out`` in the
+    ``triangle`` format ``fmt`` (csv, json or plain), each row as ``_rows``
+    yields it, so only one row is held at a time.  Coefficients are decimal
+    strings, since they outgrow machine words quickly.
 
-    Each row is printed by one %-template of its lines ``n,l,%d``: %d
-    writes an int's digits straight into the result, with no str made per
-    coefficient.
+    Each row is written by one %-template: %d writes an int's digits
+    straight into the result, with no str made per coefficient.  csv's
+    template of row n is its lines ``n,l,%d`` under the header
+    ``n,l,coeff``; json's is ``["%d", ...]``, joined by ", " inside the
+    object's head and tail, and plain's ``%d %d ...``.
     """
-    rows = coefficient_triangle(family, max_n)
-    labels = [f"{l}," for l in range(len(rows[-1]))]  # rows never shrink
-    buf = io.StringIO()
-    buf.write("n,l,coeff\n")
-    for n, row in enumerate(rows):
-        if row:
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    labels = [f"{l}," for l in range(max_n // 3 + 1)]  # no row is longer
+    if fmt == "json":
+        out.write(f'{{"family": "{family.name}", "max_n": {max_n}, "rows": [')
+    elif fmt == "csv":
+        out.write("n,l,coeff\n")
+    for n, row in enumerate(islice(_rows(family), max_n + 1)):
+        size = len(row)
+        if fmt == "csv":
             head = f"{n},"
-            buf.write((head + ("%d\n" + head).join(labels[: len(row)]) + "%d\n") % row)
+            template = head + ("%d\n" + head).join(labels[:size]) + "%d\n" if size else ""
+        elif fmt == "json":
+            template = (", [" if n else "[") + ", ".join(['"%d"'] * size) + "]"
+        else:
+            template = " ".join(["%d"] * size) + "\n"
+        out.write(template % _x_coeffs(family, n, row))
+    if fmt == "json":
+        out.write("]}\n")
+
+
+def triangle_csv(family: Family, max_n: int) -> str:
+    """The csv of ``write_triangle`` as one string, header ``n,l,coeff``."""
+    buf = io.StringIO()
+    write_triangle(buf, family, max_n, "csv")
     return buf.getvalue()
 
 

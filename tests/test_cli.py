@@ -5,6 +5,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +27,9 @@ from pell3.cli import (
     main,
     numeric_demo,
     plot_rows,
-    render_row,
+    write_row,
 )
+from pell3.exactnum import IdentityViolationError
 from pell3.poly import CompactPell
 
 R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
@@ -89,6 +92,51 @@ class TestCoeffsAndTriangle:
     def test_triangle_json(self, capsys):
         _, out = run(capsys, "triangle", "--family", "sigma", "--max-n", "1")
         assert json.loads(out) == {"family": "sigma", "max_n": 1, "rows": [["3"], ["2"]]}
+
+
+class TestWrittenAsMade:
+    """eval and coeffs write a row term by term, and triangle row by row."""
+
+    @pytest.mark.parametrize("command", ["eval", "coeffs"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("n", [300, 1000], ids=["int", "decimal"])
+    def test_no_byte_before_the_checks(self, capsys, monkeypatch, command, fmt, n):
+        """The row's last division leaves a remainder: its coefficient, 20200
+        at n = 300 and 1 at n = 1000, is divided by 7 more.  The row raises
+        before a byte of it is written, on ints and on Decimal."""
+        top = n - pell.R.delta
+        assert (top < pell.DECIMAL_MIN_TOP) == (n == 300)
+        last, ratio = top // 3, pell._term_ratio
+
+        def inexact(name, n, l, m):
+            num, den = ratio(name, n, l, m)
+            return (num, 7 * den) if l == last else (num, den)
+
+        monkeypatch.setattr(pell, "_term_ratio", inexact)
+        with pytest.raises(IdentityViolationError, match=rf"\(family r, n={n}, l={last}\)"):
+            main([command, "--family", "r", "--n", str(n), "--format", fmt])
+        assert capsys.readouterr().out == ""
+
+    def test_triangle_peak_memory_is_about_one_row(self):
+        """triangle at max-n 1500 prints 104 MB of csv, and a row of it at
+        most 0.3 MB.  The peak RSS is read by a fresh interpreter that starts
+        only the triangle, since getrusage's RUSAGE_CHILDREN figure is the
+        largest over every child a process has waited for."""
+        argv = ["triangle", "--family", "r", "--max-n", "1500", "--format", "csv"]
+        probe = (
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'pell3', *sys.argv[1:]]\n"
+            "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(pell.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
+        )
+        peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 40
 
 
 def route_switch_indices(family: str) -> list:
@@ -164,8 +212,8 @@ class TestRouteSwitch:
 
 
 def encoded_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> str:
-    """``render_row`` as written on json.dumps and csv.writer: the oracle
-    for the text it now assembles itself."""
+    """``write_row``'s output as written on json.dumps and csv.writer: the
+    oracle for the text it assembles itself."""
     if command == "coeffs":
         if fmt == "plain":
             return (" ".join(digits) or "0") + "\n"
@@ -243,7 +291,10 @@ class TestAssembledOutput:
     @example(n=3000, digits=pell.coefficient_digits(pell.R, 3000))
     def test_row_matches_the_encoders(self, command, family, fmt, n, digits):
         args = command, family, n, digits, fmt
-        assert first_difference(render_row(*args), encoded_row(*args)) is None
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            write_row(*args)
+        assert first_difference(out.getvalue(), encoded_row(*args)) is None
 
     @pytest.mark.parametrize("family", ["r", "s", "sigma"])
     @pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
