@@ -34,15 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exactnum import IdentityViolationError, QuadExt
 from .pell import Family
 from .poly import DensePoly, horner_terms
-
-
-class DegenerateParameterError(ValueError):
-    """Parameter t where the substitution chain degenerates."""
 
 
 #: t values where a factor of the chain vanishes: double roots, a vanishing
@@ -67,22 +63,20 @@ class SubstitutionPoint:
     d: Fraction
 
 
-@dataclass(frozen=True)
-class RootTriple:
-    """Roots w of w^3 - 2w^2 + z = 0 and their reciprocals v (roots of
-    z*v^3 - 2v + 1 = 0).  w1, v1 are rational; the other two are a
+class RootTriple(NamedTuple):
+    """Roots v of z*v^3 - 2v + 1 = 0 and their reciprocals w (roots of
+    w^3 - 2w^2 + z = 0).  v1, w1 are rational; the other two are a
     conjugate pair, w2 carrying -W and w3 carrying +W."""
 
-    w1: Fraction
-    w2: QuadExt
-    w3: QuadExt
     v1: Fraction
     v2: QuadExt
     v3: QuadExt
+    w1: Fraction
+    w2: QuadExt
+    w3: QuadExt
 
 
-@dataclass(frozen=True)
-class BinetCoefficients:
+class BinetCoefficients(NamedTuple):
     """Weights of w1^n, w2^n, w3^n in a family's Binet combination.
     b and c are conjugates; a is rational."""
 
@@ -99,12 +93,12 @@ def substitution_chain(t) -> SubstitutionPoint:
     """Build the substitution point at rational t.
 
     Rejects t in {1, -1, -1/3, 5/3}: there the roots collide or a Binet
-    weight has a pole, and the error names the vanishing factor.
+    weight has a pole, and the ValueError names the vanishing factor.
     """
     t = Fraction(t)
     factor = _EXCLUDED_T.get(t)
     if factor is not None:
-        raise DegenerateParameterError(f"t={t} makes the factor {factor} vanish")
+        raise ValueError(f"t={t} makes the factor {factor} vanish")
     return SubstitutionPoint(
         t=t,
         z=(1 - t) ** 2 * (1 + t),
@@ -218,11 +212,12 @@ def closed_form_coefficients(family: Family, point: SubstitutionPoint) -> BinetC
     return BinetCoefficients(a, b, b.conjugate())
 
 
-def _sqrt_d_parts(weight, q: int) -> tuple:
-    """weight = a + b*W as its coefficients (a, b/q) of 1 and sqrt(D)."""
-    if isinstance(weight, QuadExt):
-        return weight.a, weight.b / q
-    return Fraction(weight), Fraction(0)
+def _cleared(values, q: int) -> tuple:
+    """Rationals and QuadExt values a + b*W over one common denominator m:
+    (m, [x, y, ...]) with each value (x + y*sqrt(D))/m, sqrt(D) = qW."""
+    parts = [f for v in values for f in ((v.a, v.b / q) if isinstance(v, QuadExt) else (v, 0))]
+    m = lcm(*(f.denominator for f in parts))
+    return m, [f.numerator * (m // f.denominator) for f in parts]
 
 
 def binet_numerators(point: SubstitutionPoint, a, b, c, start: int = 0) -> Iterator[tuple]:
@@ -237,9 +232,7 @@ def binet_numerators(point: SubstitutionPoint, a, b, c, start: int = 0) -> Itera
     check; the sqrt(D)-part is reported in W through sqrt(D) = qW.
     """
     p, q, big_d = _ring(point)
-    parts = [part for weight in (a, b, c) for part in _sqrt_d_parts(weight, q)]
-    den = lcm(*(f.denominator for f in parts))
-    a0, a1, b0, b1, c0, c1 = (f.numerator * (den // f.denominator) for f in parts)
+    den, (a0, a1, b0, b1, c0, c1) = _cleared((a, b, c), q)
     s, w1 = q + p, 2 * (q - p)
     x1, m = w1**start, den * (2 * q) ** start
     x2, y2 = _power(s, -1, start, big_d)
@@ -272,7 +265,7 @@ def binet_eval(family: Family, n: int, point: SubstitutionPoint) -> Fraction:
         raise IdentityViolationError(
             f"solved weights are not A rational, C = conj(B) (family {family.name}, t={point.t})"
         )
-    r, w, m = next(binet_numerators(point, co.a, co.b, co.c, n))
+    r, w, m = next(binet_numerators(point, *co, n))
     if w:
         raise IdentityViolationError(
             f"W-part {Fraction(w, m)} did not cancel "
@@ -367,35 +360,25 @@ def power_sums(max_n: int) -> tuple:
     return p[: max_n + 1], q[: max_n + 1]
 
 
-def char_root_residuals(point: SubstitutionPoint) -> dict:
+def char_root_residuals(point: SubstitutionPoint, rt: RootTriple) -> dict:
     """Residuals of each root in its cubic; all must be exactly zero.
 
     The v roots go into z*v^3 - 2v + 1, the w roots into w^3 - 2w^2 + z
     (the reciprocal polynomial).  Together with x^3 = -1/z this says each
     x*w_i is a root of the characteristic equation X^3 - 2x*X^2 - 1.
 
-    Each root from roots(point) is cleared to an integer pair
-    (x + y*sqrt(D))/m over one denominator, and the cubic, times the
-    denominator of z, is evaluated on integers by a Horner scheme
-    homogeneous in m; the residuals become QuadExt values only on return.
+    Each root of rt, normally roots(point), is cleared to an integer pair
+    (x + y*sqrt(D))/m, and the cubic, times the denominator of z, is
+    evaluated on integers by a Horner scheme homogeneous in m; the residuals
+    become QuadExt values only on return, keyed v1, v2, v3, w1, w2, w3.
     """
-    rt = roots(point)
     p, q, big_d = _ring(point)
     zn, zd = point.z.numerator, point.z.denominator
     v_cubic = (zn, 0, -2 * zd, zd)  # zd * (z*v^3 - 2v + 1)
     w_cubic = (zd, -2 * zd, 0, zn)  # zd * (w^3 - 2w^2 + z)
     out = {}
-    for name, root, cubic in (
-        ("v1", rt.v1, v_cubic),
-        ("v2", rt.v2, v_cubic),
-        ("v3", rt.v3, v_cubic),
-        ("w1", rt.w1, w_cubic),
-        ("w2", rt.w2, w_cubic),
-        ("w3", rt.w3, w_cubic),
-    ):
-        a, b = _sqrt_d_parts(root, q)
-        m = lcm(a.denominator, b.denominator)
-        x, y = a.numerator * (m // a.denominator), b.numerator * (m // b.denominator)
+    for name, root, cubic in zip(rt._fields, rt, (v_cubic,) * 3 + (w_cubic,) * 3):
+        m, (x, y) = _cleared((root,), q)
         rx, ry, scale = cubic[0], 0, 1
         for c in cubic[1:]:
             scale *= m

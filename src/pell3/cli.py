@@ -2,7 +2,8 @@
 
 Subcommands: eval, coeffs, triangle, series, verify, binet, plot-data,
 numeric-demo.  Exit codes: 0 on success, 1 when an identity check
-fails, 2 on usage errors.
+fails, 2 on usage errors, 3 on a fault in the code: any other exception,
+reported as one stderr line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .poly import plain_term
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_FAULT = 3
 
 FORMATS = ("json", "csv", "plain")
 
@@ -154,7 +156,7 @@ def cmd_verify(args, parser) -> int:
 def cmd_binet(args, parser) -> int:
     try:
         point = binet.substitution_chain(args.t)
-    except binet.DegenerateParameterError as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     try:
         value = binet.binet_eval(args.family, args.n, point)
@@ -333,7 +335,13 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # r_n passes 4300 digits from n ~ 14287
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return args.func(args, args.parser)
+    try:
+        return args.func(args, args.parser)
+    except IdentityViolationError:
+        raise
+    except Exception as exc:
+        print(f"pell3 {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

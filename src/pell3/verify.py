@@ -18,9 +18,7 @@ from .pell import FAMILIES, R, Family, closed_form_certificate, coefficient_tria
 from .pell import _ratio_row, _rows, values_at
 from .poly import horner_terms
 
-SUITES = ("closed-form", "binet", "xi", "lagrange", "roots")
-
-#: default sweep depth per suite
+#: default sweep depth per suite, in the order --suite all runs them
 DEFAULT_MAX_N = {
     "closed-form": 300,
     "binet": 80,
@@ -28,6 +26,7 @@ DEFAULT_MAX_N = {
     "lagrange": 100,
     "roots": 40,
 }
+SUITES = tuple(DEFAULT_MAX_N)
 
 DEFAULT_SEED = 42
 DEFAULT_T_SAMPLES = 25
@@ -82,7 +81,7 @@ def _binet_sweep(family: Family, point, co, report: SuiteReport):
     comparison r/m == h_n/q^n is one cross-multiplication of integers.
     """
     q, q_n = point.t.denominator, 1
-    terms = binet.binet_numerators(point, co.a, co.b, co.c)
+    terms = binet.binet_numerators(point, *co)
     values = values_at(family, point.t)
     for n, h, (r, w, m) in zip(range(report.max_n + 1), values, terms):
         report.check(not w, "W-part nonzero", family, point.t, n)
@@ -109,11 +108,7 @@ def run_binet(
         for family in FAMILIES.values():
             solved = binet.solve_coefficients(family, point)
             printed = binet.closed_form_coefficients(family, point)
-            for weight, lhs, rhs in (
-                ("A", solved.a, printed.a),
-                ("B", solved.b, printed.b),
-                ("C", solved.c, printed.c),
-            ):
+            for weight, lhs, rhs in zip("ABC", solved, printed):
                 label = f"solved weight {weight} differs from closed form"
                 report.check(lhs == rhs, label, family, point.t)
             report.check(solved.has_binet_structure(), "weight structure broken", family, point.t)
@@ -150,9 +145,9 @@ def run_roots(
     p_polys, q_polys = binet.power_sums(max_n)
     for point in binet.sample_points(t_samples, seed):
         t = point.t
-        for name, residual in binet.char_root_residuals(point).items():
-            report.check(residual == 0, f"root {name} residual nonzero", t=t)
         rt = binet.roots(point)
+        for name, residual in binet.char_root_residuals(point, rt).items():
+            report.check(residual == 0, f"root {name} residual nonzero", t=t)
         for check, lhs, rhs in (
             ("w2 + w3 != 1+t", rt.w2 + rt.w3, 1 + t),
             ("w2 * w3 != t^2-1", rt.w2 * rt.w3, t * t - 1),

@@ -615,6 +615,17 @@ def test_verify_usage_error_runs_no_suite(monkeypatch, argv):
 test_fault_inside_a_suite_is_not_a_usage_error = moved("mixed-discriminant")
 
 
+def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys):
+    """An exception other than a refuted identity exits 3 and prints the
+    command, its type and its message as one line, with no traceback."""
+    row = ROW["mixed-discriminant"]
+    apply(monkeypatch, row)
+    code = main(list(row.run[1:]))
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "pell3 verify: ValueError: cannot combine elements with W^2=10/3 and W^2=7/3\n"
+
+
 def test_t_samples_past_admissible_count_is_usage_error():
     t0 = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
@@ -724,10 +735,10 @@ class TestGoldenOutput:
 
     def test_transcript_is_well_formed(self):
         """Unique argv, one kind of expected stdout each, and an exit-0 run of
-        every command but numeric-demo (floats)."""
+        every command."""
         argvs = [tuple(entry["argv"]) for entry in TRANSCRIPT]
         assert len(set(argvs)) == len(argvs)
         assert all(set(e) - {"argv", "exit"} in ({"stdout"}, {"sha256"}) for e in TRANSCRIPT)
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         passing = {entry["argv"][0] for entry in TRANSCRIPT if entry["exit"] == 0}
-        assert set(sub.choices) - {"numeric-demo"} <= passing
+        assert set(sub.choices) <= passing

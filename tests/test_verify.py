@@ -89,6 +89,20 @@ class TestClosedFormSweep:
     test_non_integral_coefficient_fails_at_its_n_only = moved("non-integral-at-37")
 
 
+class TestRootsSuite:
+    def test_builds_each_points_roots_once(self, monkeypatch):
+        """The residuals and the root identities read one RootTriple per t."""
+        calls = []
+
+        def spy(point, _roots=binet.roots):
+            calls.append(point.t)
+            return _roots(point)
+
+        monkeypatch.setattr(binet, "roots", spy)
+        assert verify.run_roots(2, 3, 42).ok
+        assert len(calls) == 3 == len(set(calls))
+
+
 class TestLagrangeSuite:
     def test_default_depth_is_one_hundred(self):
         report = verify.run_lagrange()
