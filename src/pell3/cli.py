@@ -1,16 +1,20 @@
 """Command-line interface.
 
 Subcommands: eval, coeffs, triangle, series, verify, binet, plot-data,
-numeric-demo.  Exit codes: 0 on success, 1 when an identity check
-fails, 2 on usage errors, 3 on a fault in the code: any other exception,
-reported as one stderr line.
+numeric-demo.  ``main`` parses a request once, with the parser of the
+command it names (see ``parse_args``), and calls that command.  Exit
+codes: 0 on success, 1 when an identity check fails, 2 on usage errors,
+3 on a fault in the code: any other exception, reported as one stderr
+line; 141 (128 + SIGPIPE), silently, when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_FAULT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process a closed pipe ended
 
 FORMATS = ("json", "csv", "plain")
 
@@ -277,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> command parser, for parse_args
     negative_value = re.compile(r"-\.?\d")
 
     def command(name, func, help):
@@ -331,14 +337,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once: an argv that names a
+    command goes to that command's parser alone, not through the top-level
+    parser first, and any other argv (empty, -h, an unknown word) to the
+    top-level parser, the one that prints those messages."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # r_n passes 4300 digits from n ~ 14287
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        code = args.func(args, args.parser)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
     except IdentityViolationError:
         raise
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no fault: the rest of the
+        # output goes to devnull, so the interpreter's exit flush stays silent
+        with contextlib.suppress(OSError):  # io.UnsupportedOperation: no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         print(f"pell3 {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAULT

@@ -26,6 +26,7 @@ from pell3.cli import (
     build_parser,
     main,
     numeric_demo,
+    parse_args,
     plot_rows,
     write_row,
 )
@@ -94,6 +95,13 @@ class TestCoeffsAndTriangle:
         assert json.loads(out) == {"family": "sigma", "max_n": 1, "rows": [["3"], ["2"]]}
 
 
+def pell3_env() -> dict:
+    """The environment of a fresh interpreter that imports this pell3."""
+    src = str(Path(pell.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestWrittenAsMade:
     """eval and coeffs write a row term by term, and triangle row by row."""
 
@@ -129,11 +137,12 @@ class TestWrittenAsMade:
             "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         )
-        src = str(Path(pell.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         done = subprocess.run(
-            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True,
+            text=True,
+            env=pell3_env(),
+            check=True,
         )
         peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
         assert peak_mb < 40
@@ -569,6 +578,83 @@ def test_missing_command_is_usage_error():
     assert exc.value.code == 2
 
 
+ROUTE_ARGVS = [
+    ["eval", "--family", "r", "--n", "3", "--", "extra"],
+    ["eval", "--fam", "r", "--n", "3"],
+    ["eval", "--family", "r"],
+    ["eval", "--family", "q", "--n", "3"],
+    ["eval", "--family", "r", "--n", "3", "--bogus", "x"],
+    ["binet", "--family", "r", "--n", "3", "--t", "-5/7"],
+    ["frobnicate"],
+    [],
+    ["-h"],
+    ["eval", "--help"],
+    ["verify", "--suite", "all", "--t-samples", "200"],
+    ["binet", "--family", "r", "--n", "3", "--t", "5/3"],
+]
+
+
+def parse_outcome(capsys, parse, argv) -> tuple:
+    """What one parse of argv gives, a namespace or an exit code, and what it printed."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_parse_args_matches_the_two_level_parse(capsys, argv):
+    """main's one parse gives what argparse's top-level parser and its
+    subparsers action give together, in this interpreter's argparse."""
+    expected = parse_outcome(capsys, build_parser().parse_args, argv)
+    assert parse_outcome(capsys, parse_args, argv) == expected
+
+
+def test_each_request_is_parsed_once(monkeypatch, capsys):
+    """One parse_known_args call per request, by the command's parser; the
+    two-level parse makes two."""
+    argvs = [
+        next(e["argv"] for e in TRANSCRIPT if e["exit"] == 0 and e["argv"][0] == name)
+        for name in build_parser().commands
+    ]
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    for argv in argvs:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [f"pell3 {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        pytest.param(
+            ["triangle", "--family", "r", "--max-n", "1500", "--format", "csv"], 1, id="triangle"
+        ),
+        # closed before the first byte: the output fails in main's flush, not in a write
+        pytest.param(["eval", "--family", "r", "--n", "9"], 0, id="eval"),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv, lines_read):
+    """A reader that stops early is no fault: exit 128 + SIGPIPE, nothing on stderr."""
+    env = pell3_env()
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as a shell starts pell3
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": env}
+    with subprocess.Popen([sys.executable, "-m", "pell3", *argv], **pipes) as proc:
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -739,6 +825,5 @@ class TestGoldenOutput:
         argvs = [tuple(entry["argv"]) for entry in TRANSCRIPT]
         assert len(set(argvs)) == len(argvs)
         assert all(set(e) - {"argv", "exit"} in ({"stdout"}, {"sha256"}) for e in TRANSCRIPT)
-        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         passing = {entry["argv"][0] for entry in TRANSCRIPT if entry["exit"] == 0}
-        assert set(sub.choices) <= passing
+        assert set(build_parser().commands) <= passing
