@@ -30,7 +30,6 @@ of W.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
@@ -53,8 +52,7 @@ _EXCLUDED_T = {
 SAMPLE_T = {Fraction(p, d) for d in range(2, 13) for p in range(1 - d, d)} - _EXCLUDED_T.keys()
 
 
-@dataclass(frozen=True)
-class SubstitutionPoint:
+class SubstitutionPoint(NamedTuple):
     """The variable chain realized at one rational t:
     z = (1-t)^2 (1+t) and discriminant d = (1+t)(5-3t)."""
 

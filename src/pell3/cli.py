@@ -17,9 +17,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from . import binet, lagrange, pell, verify
 from .exactnum import IdentityViolationError
@@ -207,8 +207,7 @@ def cmd_plot_data(args, parser) -> int:
     return EXIT_OK
 
 
-@dataclass
-class DemoRow:
+class DemoRow(NamedTuple):
     n: int
     exact: Fraction
     approx: float
@@ -357,23 +356,23 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # r_n passes 4300 digits from n ~ 14287
         sys.set_int_max_str_digits(0)
-    args = parse_args(argv)
     try:
-        code = args.func(args, args.parser)
-        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
-        return code
-    except IdentityViolationError:
-        raise
+        try:
+            args = parse_args(argv)  # help and usage errors print here and raise SystemExit
+            return args.func(args, args.parser)
+        except (IdentityViolationError, BrokenPipeError):
+            raise
+        except Exception as exc:
+            print(f"pell3 {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_FAULT
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
     except BrokenPipeError:
         # the reader closed stdout early, which is no fault: the rest of the
         # output goes to devnull, so the interpreter's exit flush stays silent
         with contextlib.suppress(OSError):  # io.UnsupportedOperation: no descriptor
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except Exception as exc:
-        print(f"pell3 {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_FAULT
 
 
 if __name__ == "__main__":

@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import decimal
 import io
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import comb
 from operator import add, lshift
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from .exactnum import IdentityViolationError
 from .poly import DELTA, CompactPell
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A family tag: initial values p_0, p_1, p_2 as compact x-coefficients,
     as the paper prints them, and the smallest index served by the closed
     form; callers serve the seed rows below it.
@@ -127,14 +125,14 @@ def _ratio_row(family: Family, n: int, first, step) -> list:
     (2^(n-delta), 8) the x-form, whose coefficients sit 3 powers of 2 apart.
     Every division must be exact; a remainder raises IdentityViolationError.
     """
-    top = n - family.delta
+    name, top = family.name, n - family.delta
     coeff, row = first, [first] if top >= 0 else []
     for l in range(1, top // 3 + 1):
-        num, den = _term_ratio(family.name, n, l, top - 2 * l)
+        num, den = _term_ratio(name, n, l, top - 2 * l)
         coeff, rem = divmod(coeff * num, step * den)
         if rem:
             raise IdentityViolationError(
-                f"closed-form coefficient is not an integer (family {family.name}, n={n}, l={l})"
+                f"closed-form coefficient is not an integer (family {name}, n={n}, l={l})"
             )
         row.append(coeff)
     return row

@@ -9,9 +9,9 @@ for display and generic evaluation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .exactnum import lifted
 from .series import truncated_product
@@ -119,27 +119,30 @@ class DensePoly:
         return f"DensePoly({self.format_plain()})"
 
 
-@dataclass(frozen=True)
-class CompactPell:
-    """Family polynomial in compact form: coefficient l sits at exponent
-    n - delta - 3*l.  The zero polynomial has an empty coefficient tuple.
-    """
-
+class _CompactFields(NamedTuple):  # a NamedTuple body may not define __new__
     family: str
     n: int
     coeffs: tuple
 
-    def __post_init__(self):
-        if self.family not in DELTA:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 0:
-            raise ValueError(f"index must be nonnegative, got {self.n}")
+
+class CompactPell(_CompactFields):
+    """Family polynomial in compact form: coefficient l sits at exponent
+    n - delta - 3*l.  The zero polynomial has an empty coefficient tuple.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks its fields too
+
+    def __new__(cls, family: str, n: int, coeffs):
+        if family not in DELTA:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 0:
+            raise ValueError(f"index must be nonnegative, got {n}")
         # from a list, not a generator: see pell._x_coeffs
-        object.__setattr__(self, "coeffs", tuple([operator.index(c) for c in self.coeffs]))
-        if len(self.coeffs) > max(0, (self.n - self.delta) // 3 + 1):
-            raise ValueError(
-                f"{len(self.coeffs)} coefficients do not fit family {self.family}, n={self.n}"
-            )
+        coeffs = tuple([operator.index(c) for c in coeffs])
+        if len(coeffs) > max(0, (n - DELTA[family]) // 3 + 1):
+            raise ValueError(f"{len(coeffs)} coefficients do not fit family {family}, n={n}")
+        return super().__new__(cls, family, n, coeffs)
 
     @property
     def delta(self) -> int:

@@ -8,7 +8,6 @@ means every checked identity held with no rounding and no tolerance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -32,13 +31,10 @@ DEFAULT_SEED = 42
 DEFAULT_T_SAMPLES = 25
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    points_checked: int
-    max_n: int
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, suite: str, points_checked: int, max_n: int):
+        self.suite, self.points_checked, self.max_n = suite, points_checked, max_n
+        self.failures, self.notes = [], []
 
     @property
     def ok(self) -> bool:
@@ -53,7 +49,8 @@ class SuiteReport:
             self.failures.append({"suite": self.suite, "t": t, "n": n, "check": check})
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"suite": self.suite, "points_checked": self.points_checked, "max_n": self.max_n,
+                "failures": self.failures, "notes": self.notes}
 
 
 def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:

@@ -640,6 +640,9 @@ def test_each_request_is_parsed_once(monkeypatch, capsys):
         ),
         # closed before the first byte: the output fails in main's flush, not in a write
         pytest.param(["eval", "--family", "r", "--n", "9"], 0, id="eval"),
+        # help is printed inside argparse, before any command runs
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(["eval", "--help"], 0, id="eval-help"),
     ],
 )
 def test_closed_stdout_exits_141_quietly(argv, lines_read):
