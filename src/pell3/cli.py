@@ -270,12 +270,21 @@ def cmd_numeric_demo(args, parser) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but help into a closed stdout raises BrokenPipeError
+    for main however stdout is buffered: argparse's own print_help swallows
+    the error of an unbuffered write.  Subparsers inherit this class."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: argparse objects reference each
     other in cycles, so a parser per ``main`` call would leave cyclic garbage
     behind on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pell3",
         description="Exact third-order Pell polynomials: generation, Binet "
         "evaluation, and identity verification.",
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = command("verify", cmd_verify, "run identity verification suites")
-    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
     p.add_argument("--max-n", type=_nonneg, default=None)
     p.add_argument("--t-samples", type=_positive, default=verify.DEFAULT_T_SAMPLES)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)

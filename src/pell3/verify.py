@@ -17,15 +17,17 @@ from .pell import FAMILIES, R, Family, closed_form_certificate, coefficient_tria
 from .pell import _ratio_row, _rows, values_at
 from .poly import horner_terms
 
-#: default sweep depth per suite, in the order --suite all runs them
-DEFAULT_MAX_N = {
-    "closed-form": 300,
-    "binet": 80,
-    "xi": 50,
-    "lagrange": 100,
-    "roots": 40,
+#: suite name -> (default max_n, runner(max_n, t_samples, seed)), in the
+#: order --suite all runs them.  Each runner looks its suite function up
+#: when called, so a wrapper installed on this module later (a tracer, a
+#: test's monkeypatch) is the one that runs.
+SUITES = {
+    "closed-form": (300, lambda max_n, t_samples, seed: run_closed_form(max_n)),
+    "binet": (80, lambda *args: run_binet(*args)),
+    "xi": (50, lambda *args: run_xi(*args)),
+    "lagrange": (100, lambda max_n, t_samples, seed: run_lagrange(max_n)),
+    "roots": (40, lambda *args: run_roots(*args)),
 }
-SUITES = tuple(DEFAULT_MAX_N)
 
 DEFAULT_SEED = 42
 DEFAULT_T_SAMPLES = 25
@@ -53,7 +55,7 @@ class SuiteReport:
                 "failures": self.failures, "notes": self.notes}
 
 
-def run_closed_form(max_n: int = DEFAULT_MAX_N["closed-form"]) -> SuiteReport:
+def run_closed_form(max_n: int) -> SuiteReport:
     """Closed form == recurrence for every family over its valid range:
     proved for every n by pell.closed_form_certificate, compared row by row
     up to max_n in y-form, before the injective shift to x both routes share."""
@@ -86,11 +88,7 @@ def _binet_sweep(family: Family, point, co, report: SuiteReport):
         q_n *= q
 
 
-def run_binet(
-    max_n: int = DEFAULT_MAX_N["binet"],
-    t_samples: int = DEFAULT_T_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> SuiteReport:
+def run_binet(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Binet combinations and weight cross-checks at seeded t samples: the
     combinations up to max_n against the recurrence run at the point
     (pell.values_at), one pass over n for each family and t."""
@@ -113,11 +111,7 @@ def run_binet(
     return report
 
 
-def run_xi(
-    max_n: int = DEFAULT_MAX_N["xi"],
-    t_samples: int = DEFAULT_T_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> SuiteReport:
+def run_xi(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Radical cancellation: extension arithmetic vs. binomial double sum."""
     report = SuiteReport("xi", t_samples, max_n)
     rows = [binet.radical_binomial_coefficients(n) for n in range(max_n + 1)]
@@ -132,11 +126,7 @@ def run_xi(
     return report
 
 
-def run_roots(
-    max_n: int = DEFAULT_MAX_N["roots"],
-    t_samples: int = DEFAULT_T_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> SuiteReport:
+def run_roots(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Root identities, reciprocity, and power-sum polynomials."""
     report = SuiteReport("roots", t_samples, max_n)
     p_polys, q_polys = binet.power_sums(max_n)
@@ -177,7 +167,7 @@ def _raised(check, *args) -> str | None:
     return None
 
 
-def run_lagrange(order: int = DEFAULT_MAX_N["lagrange"]) -> SuiteReport:
+def run_lagrange(order: int) -> SuiteReport:
     """Inversion oracle, leading-term expansion, bridge, and radius ratio.
 
     The expansion runs for n <= min(24, order) over 33 coefficients and the
@@ -207,18 +197,6 @@ def run_lagrange(order: int = DEFAULT_MAX_N["lagrange"]) -> SuiteReport:
     return report
 
 
-#: suite name -> runner(max_n, t_samples, seed).  Each runner looks its
-#: suite function up when called, so a wrapper installed on this module
-#: later (a tracer, a test's monkeypatch) is the one that runs.
-RUNNERS = {
-    "closed-form": lambda max_n, t_samples, seed: run_closed_form(max_n),
-    "binet": lambda max_n, t_samples, seed: run_binet(max_n, t_samples, seed),
-    "xi": lambda max_n, t_samples, seed: run_xi(max_n, t_samples, seed),
-    "lagrange": lambda max_n, t_samples, seed: run_lagrange(order=max_n),
-    "roots": lambda max_n, t_samples, seed: run_roots(max_n, t_samples, seed),
-}
-
-
 def run_suite(
     name: str,
     max_n: int | None = None,
@@ -228,7 +206,7 @@ def run_suite(
     """Run one named suite (or all) and return the list of reports."""
     if name == "all":
         return [run_suite(s, max_n, t_samples, seed)[0] for s in SUITES]
-    if name not in RUNNERS:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)} or all")
-    n = DEFAULT_MAX_N[name] if max_n is None else max_n
-    return [RUNNERS[name](n, t_samples, seed)]
+    default, runner = SUITES[name]
+    return [runner(default if max_n is None else max_n, t_samples, seed)]

@@ -632,28 +632,42 @@ def test_each_request_is_parsed_once(monkeypatch, capsys):
         assert calls == [f"pell3 {argv[0]}"]
 
 
+#: id -> (argv, lines read before stdout is closed)
+CLOSED_STDOUT = {
+    "triangle": (["triangle", "--family", "r", "--max-n", "1500", "--format", "csv"], 1),
+    # closed before the first byte: the output fails in main's flush, not in a write
+    "eval": (["eval", "--family", "r", "--n", "9"], 0),
+    # help is printed inside argparse, before any command runs
+    "help": (["--help"], 0),
+    "eval-help": (["eval", "--help"], 0),
+}
+
+
 @pytest.mark.parametrize(
-    "argv, lines_read",
+    "argv, lines_read, unbuffered",
     [
-        pytest.param(
-            ["triangle", "--family", "r", "--max-n", "1500", "--format", "csv"], 1, id="triangle"
-        ),
-        # closed before the first byte: the output fails in main's flush, not in a write
-        pytest.param(["eval", "--family", "r", "--n", "9"], 0, id="eval"),
-        # help is printed inside argparse, before any command runs
-        pytest.param(["--help"], 0, id="help"),
-        pytest.param(["eval", "--help"], 0, id="eval-help"),
+        pytest.param(*case, unbuffered, id=name + suffix)
+        for name, case in CLOSED_STDOUT.items()
+        for unbuffered, suffix in ((None, ""), ("1", "-unbuffered"))
     ],
 )
-def test_closed_stdout_exits_141_quietly(argv, lines_read):
-    """A reader that stops early is no fault: exit 128 + SIGPIPE, nothing on stderr."""
+def test_closed_stdout_exits_141_quietly(argv, lines_read, unbuffered):
+    """A reader that stops early is no fault: exit 128 + SIGPIPE, nothing on
+    stderr, with stdout block-buffered, as a shell starts pell3, or unbuffered."""
     env = pell3_env()
-    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as a shell starts pell3
-    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": env}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    if not lines_read:
+        os.close(read)  # before pell3 starts, so no write of pell3's can come first
+    pipes = {"stdout": write, "stderr": subprocess.PIPE, "env": env}
     with subprocess.Popen([sys.executable, "-m", "pell3", *argv], **pipes) as proc:
-        for _ in range(lines_read):
-            proc.stdout.readline()
-        proc.stdout.close()
+        os.close(write)
+        if lines_read:
+            with open(read, "rb") as out:
+                for _ in range(lines_read):
+                    out.readline()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
 

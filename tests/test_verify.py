@@ -22,10 +22,20 @@ class TestRunSuite:
         [report] = verify.run_suite(name, 12, 2, 7)
         assert report.to_dict() == direct().to_dict()
 
-    def test_runner_replaced_on_the_module_is_called(self, monkeypatch):
-        sentinel = verify.SuiteReport("xi", 0, 0)
-        monkeypatch.setattr(verify, "run_xi", lambda *args: sentinel)
-        assert verify.run_suite("xi") == [sentinel]
+    @pytest.mark.parametrize("name", verify.SUITES)
+    def test_runner_replaced_on_the_module_is_called(self, monkeypatch, name):
+        sentinel = verify.SuiteReport(name, 0, 0)
+        monkeypatch.setattr(verify, "run_" + name.replace("-", "_"), lambda *args, **kw: sentinel)
+        assert verify.run_suite(name) == [sentinel]
+
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("closed-form", 300), ("binet", 80), ("xi", 50), ("lagrange", 100), ("roots", 40)],
+    )
+    def test_default_depth(self, name, depth):
+        [report] = verify.run_suite(name)
+        assert report.max_n == depth
+        assert report.ok
 
     def test_unknown_suite_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -104,12 +114,6 @@ class TestRootsSuite:
 
 
 class TestLagrangeSuite:
-    def test_default_depth_is_one_hundred(self):
-        report = verify.run_lagrange()
-        assert report.max_n == 100
-        assert report.to_dict() == verify.run_suite("lagrange")[0].to_dict()
-        assert report.ok
-
     @pytest.mark.parametrize("max_n", [1, 12, 40])
     def test_max_n_bounds_every_loop(self, monkeypatch, max_n):
         seen = {"check_first_term": [], "check_bridge": []}
