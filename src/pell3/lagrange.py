@@ -42,9 +42,10 @@ def _zeta_coefficient(n: int) -> int:
     return coeff
 
 
-def _zeta_series(order: int) -> list:
-    """U(zeta) through zeta^(order-1), as integers."""
-    return [0] + [_zeta_coefficient(n) for n in range(1, order)]
+def _zeta_series(order: int) -> tuple:
+    """U(zeta) and 1 - U(zeta) through zeta^(order-1), as integers."""
+    u = [0] + [_zeta_coefficient(n) for n in range(1, order)]
+    return u, [1] + [-c for c in u[1:]]
 
 
 def inversion_lowest_terms(n: int) -> tuple:
@@ -87,8 +88,7 @@ def verify_inversion(order: int) -> None:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    u = _zeta_series(order + 1)
-    one_minus_u = [1] + [-c for c in u[1:]]
+    u, one_minus_u = _zeta_series(order + 1)
     once = truncated_product(u, one_minus_u, order + 1)
     composed = truncated_product(once, one_minus_u, order + 1)
     for k, c in enumerate(composed):
@@ -113,11 +113,10 @@ def first_term_numerators(order: int) -> Iterator[list]:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    u = _zeta_series(order)
+    u, one_minus_u = _zeta_series(order)
     ser = [1] + [0] * (order - 1)  # 1/(1-3U) = 1 + 3U/(1-3U), term by term
     for k in range(1, order):
         ser[k] = 3 * sum(u[i] * ser[k - i] for i in range(1, k + 1))
-    one_minus_u = [1] + [-c for c in u[1:]]
     while True:
         yield ser
         ser = truncated_product(ser, one_minus_u, order)

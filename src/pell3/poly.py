@@ -32,12 +32,6 @@ def horner_terms(coeffs, num: int, den: int) -> tuple:
     return acc * den, scale
 
 
-def _horner(coeffs, x0) -> Fraction:
-    """sum_k coeffs[k] * x0**k at rational x0, as one Fraction."""
-    x0 = Fraction(x0)
-    return Fraction(*horner_terms(coeffs, x0.numerator, x0.denominator))
-
-
 def plain_term(exp: int, digits: str) -> str:
     """One term of the plain rendering: the digits, then x or x^exp, with a
     coefficient of 1 dropped before an x."""
@@ -68,7 +62,8 @@ class DensePoly:
 
     def __call__(self, x0) -> Fraction:
         """Evaluate by Horner's rule; exact for int or Fraction arguments."""
-        return _horner(self.coeffs, x0)
+        x0 = Fraction(x0)
+        return Fraction(*horner_terms(self.coeffs, x0.numerator, x0.denominator))
 
     def _lift(self, other) -> "DensePoly":
         if isinstance(other, DensePoly):
@@ -165,7 +160,8 @@ class CompactPell(_CompactFields):
         Each stored coefficient contributes c_l * (-z0)**l, so this needs
         no root extraction and stays rational for rational z0.
         """
-        return _horner(self.coeffs, -Fraction(z0))
+        z0 = Fraction(z0)
+        return Fraction(*horner_terms(self.coeffs, -z0.numerator, z0.denominator))
 
     def to_json_dict(self) -> dict:
         return {

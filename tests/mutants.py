@@ -175,11 +175,11 @@ def at(ns, *checks: str) -> list:
     return [(n, check) for n in ns for check in checks]
 
 
-def report(suite: str, points_checked: int, max_n: int, failures: list) -> dict:
+def report(suite: str, points_checked: int, max_n: int, failures: list, notes=()) -> dict:
     """One report of verify's stdout, its failures given as (t, n, check)."""
     failures = [{"suite": suite, "t": t, "n": n, "check": check} for t, n, check in failures]
     return {"suite": suite, "points_checked": points_checked, "max_n": max_n,
-            "failures": failures, "notes": []}
+            "failures": failures, "notes": list(notes)}
 
 
 def base_row(family: str) -> str:
@@ -217,6 +217,11 @@ STRUCTURE, SCALAR = "weight structure broken", "scalar differs from binomial sum
 RATIO, CLOSED_FORM = "term ratio: nonzero on the grid", "closed form differs from recurrence"
 WEIGHT = "solved weight {} differs from closed form"
 POWER_SUM = "power-sum {} differs from extension arithmetic"
+NOT_DIVISIBLE = "C(3n-2, n-1) is not divisible by n={}"
+SERIES_AT_20 = [(None, 8, "first-term series: " + NOT_DIVISIBLE.format(20))]
+BINET_NOTE = ("s-family closed-form weights corrected: second term of B and C multiplied by "
+              "W, and the sign of A flipped to 2t/((1+3t)(1-t)); both forced by the "
+              "initial-value solve")
 BINET, XI, ROOTS = (suite, "binet", 6, 3), (suite, "xi", 6, 3), (suite, "roots", 4, 2)
 CERTIFICATE = (certificate,)
 GRID_TOO_SMALL = ["step identity: grid too small for degree 2",
@@ -333,7 +338,7 @@ ROWS = [
         '    if family.name == "s":\n        b = b + QuadExt(0, Fraction(1, 7), d)\n'
         "    return BinetCoefficients(a, b, b.conjugate())",
         BINET, each(T3, at(NONE, *map(WEIGHT.format, "BC")), ["s"])),
-    Row("value-at-n-5", "verify._binet_sweep", "zip(range(report.max_n + 1), values, terms)",
+    Row("value-at-n-5", "verify.run_binet", "zip(range(report.max_n + 1), values, terms)",
         "zip(range(report.max_n + 1), (h + (n == 5) for n, h in enumerate(values)), terms)",
         BINET, each(T3, at([5], VALUE), FAMILIES)),
     # -- the xi suite
@@ -436,10 +441,27 @@ ROWS = [
         [(None, 30, "inversion: composition disagrees with zeta first at index 3: 1"),
          *((None, n, "first-term expansion: " + first_term(n)) for n in range(25)),
          *((None, n, "bridge: " + first_term(n)) for n in range(10, 31))]),
-    # C(7, 2) = 21 -> 22 leaves a remainder in C(3n-2, n-1)/n at n = 3
+    # C(7, 2) = 21 -> 22 leaves a remainder in C(3n-2, n-1)/n at n = 3: the
+    # inversion and the series both meet it, the radius ratios do not
     Row("inexact-inversion-division", "lagrange._zeta_coefficient", "comb(3 * n - 2, n - 1)",
         "comb(3 * n - 2, n - 1) + (n == 3)", (suite, "lagrange", 8),
-        (IdentityViolationError, "C(3n-2, n-1) is not divisible by n=3")),
+        [(None, 8, "inversion: " + NOT_DIVISIBLE.format(3)),
+         (None, 8, "first-term series: " + NOT_DIVISIBLE.format(3))]),
+    # past the inversion's reach at order 8: only the series, built to 33
+    # coefficients, meets n = 20, and its expansion and bridge checks are skipped
+    Row("inexact-division-at-20", "lagrange._zeta_coefficient", "comb(3 * n - 2, n - 1)",
+        "comb(3 * n - 2, n - 1) + (n == 20)", (suite, "lagrange", 8), SERIES_AT_20),
+    # u_59 is read only by the radius ratios, so both of their checks are skipped
+    Row("inexact-division-at-59", "lagrange._zeta_coefficient", "comb(3 * n - 2, n - 1)",
+        "comb(3 * n - 2, n - 1) + (n == 59)", (suite, "lagrange", 8),
+        [(None, 60, "radius ratio: " + NOT_DIVISIBLE.format(59))]),
+    # a refuted identity inside a suite is a report entry: every report prints
+    Row("inexact-division-at-20-verify", "lagrange._zeta_coefficient", "comb(3 * n - 2, n - 1)",
+        "comb(3 * n - 2, n - 1) + (n == 20)",
+        (cli, "verify", "--suite", "all", "--max-n", "8", "--t-samples", "1"),
+        (1, [report("closed-form", 0, 8, []), report("binet", 1, 8, [], [BINET_NOTE]),
+             report("xi", 1, 8, []), report("lagrange", 0, 8, SERIES_AT_20),
+             report("roots", 1, 8, [])])),
     # -- weakenings: each check of verify, and the certificate's grid, made to pass
     always("always-certificate", "verify.run_closed_form", 'report.check(False, f"certificate',
            "grid-of-d-points-verify"),
@@ -447,8 +469,8 @@ ROWS = [
            "non-integral-at-37"),
     always("always-closed-form", "verify.run_closed_form", "report.check(cf == row,",
            "recurrence-lag"),
-    always("always-binet-W-part", "verify._binet_sweep", "report.check(not w,", "a-weight"),
-    always("always-binet-value", "verify._binet_sweep", "report.check(r * q_n == h * m,",
+    always("always-binet-W-part", "verify.run_binet", "report.check(not w,", "a-weight"),
+    always("always-binet-value", "verify.run_binet", "report.check(r * q_n == h * m,",
            "values-at-z-sign"),
     always("always-weights", "verify.run_binet", "report.check(lhs == rhs,", "printed-r-weight"),
     always("always-structure", "verify.run_binet", "report.check(solved.has_binet_structure(),",
@@ -461,10 +483,14 @@ ROWS = [
            "power-sum-e2"),
     always("always-inversion", "verify.run_lagrange", 'report.check(error is None, f"inversion',
            "inversion-coefficient-3"),
+    always("always-series", "verify.run_lagrange", 'report.check(False, f"first-term series',
+           "inexact-division-at-20"),
     always("always-first-term", "verify.run_lagrange", 'report.check(error is None, f"first-term',
            "inversion-coefficient-3"),
     always("always-bridge", "verify.run_lagrange", 'report.check(error is None, f"bridge',
            "bridge-sign-map"),
+    always("always-radius-built", "verify.run_lagrange", 'report.check(False, f"radius ratio',
+           "inexact-division-at-59"),
     always("always-radius-formula", "verify.run_lagrange", "report.check(ratio == formula,",
            "radius-ratio-off"),
     always("always-radius-between", "verify.run_lagrange", "report.check(between,",
