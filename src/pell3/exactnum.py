@@ -66,16 +66,17 @@ class QuadExt:
 
     The discriminant travels with the element, so values taken from
     different extensions can coexist in one program; mixing them in an
-    arithmetic operation raises ``ValueError``.  Plain ints and Fractions
-    mix freely (lifted to ``a + 0*W``); instances are never mutated.
+    arithmetic operation raises ``ValueError``.  Parts are Fractions, and
+    one given as a Fraction is kept, not rebuilt; ints and Fractions mix
+    freely (lifted to ``a + 0*W``); instances are never mutated.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = Fraction(d)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
+        self.d = d if type(d) is Fraction else Fraction(d)
 
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):

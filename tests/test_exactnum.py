@@ -63,6 +63,10 @@ def quad_elements(d):
     return st.builds(lambda a, b: QuadExt(a, b, d), small_fractions, small_fractions)
 
 
+class FractionSubclass(Fraction):
+    pass
+
+
 class TestQuadExt:
     def test_norm_product(self):
         e = QuadExt(1, 1, 5) * QuadExt(1, -1, 5)
@@ -107,6 +111,28 @@ class TestQuadExt:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             QuadExt(1, 1, 5) ** -1
+
+    @pytest.mark.parametrize(
+        "part",
+        [Fraction(3, 7), 3, True, 0.5, "3/7", FractionSubclass(3, 7), 1j, None],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("slot", QuadExt.__slots__)
+    def test_part_rule(self, slot, part):
+        """A part that is exactly a Fraction is kept as given, any other part
+        is stored as Fraction(part), and one Fraction() rejects raises its TypeError."""
+        parts = dict.fromkeys(QuadExt.__slots__, 1) | {slot: part}
+        if part is None or isinstance(part, complex):
+            with pytest.raises(TypeError) as rejected:
+                Fraction(part)
+            with pytest.raises(TypeError, match=re.escape(str(rejected.value))):
+                QuadExt(**parts)
+            return
+        stored = getattr(QuadExt(**parts), slot)
+        if type(part) is Fraction:
+            assert stored is part
+        else:
+            assert type(stored) is Fraction and stored == Fraction(part)
 
     @given(quad_elements(5), quad_elements(5))
     def test_conjugation_is_multiplicative(self, e, f):
