@@ -66,20 +66,15 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _csv_lines(header, rows) -> str:
-    """CSV text, header first; its ints, Fraction strings and floats (whose
-    str is their repr) never hold ',', '"' or a newline, so csv.writer would
-    quote none."""
-    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
-
-
 def _print_records(fmt: str, header: list, rows: list) -> None:
     """The float tables of plot-data and numeric-demo: json prints one
-    object per row, keyed by the header, and csv the rows under it."""
+    object per row, keyed by the header, and csv the rows under it.  Their
+    ints, Fraction strings and floats (whose str is their repr) never hold
+    ',', '"' or a newline, so csv.writer would quote none."""
     if fmt == "json":
         print(json.dumps([dict(zip(header, row)) for row in rows]))
     else:
-        print(_csv_lines(header, rows), end="")
+        print("".join([",".join(map(str, row)) + "\n" for row in (header, *rows)]), end="")
 
 
 def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str) -> None:
@@ -118,19 +113,19 @@ def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str)
     write(tail)
 
 
-def cmd_row(args, parser) -> int:
+def cmd_row(args) -> int:
     # every division of the row is checked before its first byte is written
     digits = pell.coefficient_digits(args.family, args.n)
     write_row(args.command, args.family, args.n, digits, args.format)
     return EXIT_OK
 
 
-def cmd_triangle(args, parser) -> int:
+def cmd_triangle(args) -> int:
     pell.write_triangle(sys.stdout, args.family, args.max_n, args.format)
     return EXIT_OK
 
 
-def cmd_series(args, parser) -> int:
+def cmd_series(args) -> int:
     """Coefficients 1..order as num/den in lowest terms, which is str() of
     their Fraction (the denominator is never 1), assembled as in
     ``write_row``."""
@@ -145,24 +140,24 @@ def cmd_series(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     # the input errors a suite would raise, found before any suite runs:
     # closed-form and lagrange sample no t, and only lagrange needs order >= 1
     cap = len(binet.SAMPLE_T)
     if args.suite not in ("closed-form", "lagrange") and args.t_samples > cap:
-        parser.error(f"t-samples must be at most {cap}, got {args.t_samples}")
+        args.parser.error(f"t-samples must be at most {cap}, got {args.t_samples}")
     if args.suite in ("lagrange", "all") and args.max_n == 0:
-        parser.error("order must be >= 1, got 0")
+        args.parser.error("order must be >= 1, got 0")
     reports = verify.run_suite(args.suite, args.max_n, args.t_samples, args.seed)
     print(json.dumps([r.to_dict() for r in reports]))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_IDENTITY_FAILURE
 
 
-def cmd_binet(args, parser) -> int:
+def cmd_binet(args) -> int:
     try:
         point = binet.substitution_chain(args.t)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     try:
         value = binet.binet_eval(args.family, args.n, point)
     except IdentityViolationError as exc:
@@ -194,11 +189,11 @@ def _float_range_error(command: str, hint: str) -> int:
     return EXIT_USAGE
 
 
-def cmd_plot_data(args, parser) -> int:
+def cmd_plot_data(args) -> int:
     if args.lo >= args.hi:
-        parser.error("--from must be less than --to")
+        args.parser.error("--from must be less than --to")
     if args.steps < 2:
-        parser.error("--steps must be at least 2")
+        args.parser.error("--steps must be at least 2")
     try:
         rows = [(float(u), float(z)) for u, z in plot_rows(args.lo, args.hi, args.steps)]
     except OverflowError:
@@ -253,9 +248,9 @@ def numeric_demo(family: pell.Family, n_max: int, x: Fraction) -> list:
     return rows
 
 
-def cmd_numeric_demo(args, parser) -> int:
+def cmd_numeric_demo(args) -> int:
     if args.x == 0:
-        parser.error("x must be nonzero")
+        args.parser.error("x must be nonzero")
     try:
         rows = numeric_demo(args.family, args.n_max, args.x)
     except OverflowError:
@@ -368,7 +363,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = parse_args(argv)  # help and usage errors print here and raise SystemExit
-            return args.func(args, args.parser)
+            return args.func(args)
         except (IdentityViolationError, BrokenPipeError):
             raise
         except Exception as exc:

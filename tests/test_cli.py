@@ -21,7 +21,6 @@ from mutants import ROW, apply, moved
 from pell3 import lagrange, pell, verify
 from pell3.cli import (
     FORMATS,
-    _csv_lines,
     _print_records,
     build_parser,
     main,
@@ -357,7 +356,10 @@ class TestAssembledOutput:
         """plot-data and numeric-demo print ints, Fraction strings
         and float reprs."""
         header = ["n", "exact", "binet", "rel_err"]
-        assert _csv_lines(header, rows) == csv_text(header, rows)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):  # a hypothesis test cannot take capsys
+            _print_records("csv", header, rows)
+        assert out.getvalue() == csv_text(header, rows)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("header", [["u", "z"], ["n", "exact", "binet", "rel_err"]])
@@ -376,7 +378,7 @@ class TestAssembledOutput:
             expected = json.dumps([dict(zip(header, row)) for row in rows]) + "\n"
         else:
             reprs = [[repr(v) if isinstance(v, float) else v for v in row] for row in rows]
-            expected = _csv_lines(header, reprs)
+            expected = csv_text(header, reprs)
         assert out.getvalue() == expected
 
 
