@@ -19,7 +19,7 @@ The arithmetic runs on integers.  With U = u/2 and zeta = z/8 the map
 becomes zeta = U(1-U)^2, its inverse U(zeta) = sum_n C(3n-2, n-1)/n zeta^n
 has integer coefficients, and the leading term is 2^(n-1) (1-U)^n/(1-3U),
 whose zeta-coefficients are the integers C(3l-n, l).  Results are scaled
-back to z once, when a Fraction or RatSeries is returned.
+back to z once, when a Fraction or a tuple of Fractions is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .exactnum import IdentityViolationError, gen_binomial
 from .pell import R, recurrence_gen
-from .series import RatSeries, truncated_product
+from .poly import truncated_product
 
 
 def _zeta_coefficient(n: int) -> int:
@@ -68,14 +68,11 @@ def inversion_coefficient(n: int) -> Fraction:
     return Fraction(*inversion_lowest_terms(n))
 
 
-def inversion_series(order: int) -> RatSeries:
+def inversion_series(order: int) -> tuple:
     """u(z) carrying coefficients through z^order (all positive, u_0 = 0)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return RatSeries(
-        [Fraction(0)] + [inversion_coefficient(n) for n in range(1, order + 1)],
-        order + 1,
-    )
+    return (Fraction(0), *[inversion_coefficient(n) for n in range(1, order + 1)])
 
 
 def verify_inversion(order: int) -> None:
@@ -150,7 +147,7 @@ def check_bridge(n: int, coeffs, row) -> None:
         )
 
 
-def first_term_series(n: int, order: int) -> RatSeries:
+def first_term_series(n: int, order: int) -> tuple:
     """Expand -(2-u)^n / (3u-2) in z, checking every coefficient.
 
     The n-th term of first_term_numerators(order), 2^(n-1) (1-U)^n / (1-3U)
@@ -163,7 +160,7 @@ def first_term_series(n: int, order: int) -> RatSeries:
         raise ValueError(f"index must be nonnegative, got {n}")
     coeffs = next(islice(first_term_numerators(order), n, None))
     check_first_term(n, coeffs)
-    return RatSeries([Fraction(c << n, 2 << 3 * l) for l, c in enumerate(coeffs)], order)
+    return tuple([Fraction(c << n, 2 << 3 * l) for l, c in enumerate(coeffs)])
 
 
 def truncation_bridge(n: int) -> None:

@@ -2,8 +2,8 @@
 
 The family polynomials only carry exponents n - delta - 3*l (delta is 1 for
 the r and s families, 0 for sigma), so the compact form stores one integer
-coefficient per step of 3 in the exponent.  The dense form is a view used
-for display and generic evaluation.
+coefficient per step of 3 in the exponent.  The dense form is a view for
+display and evaluation; truncated_product multiplies it and lagrange's series.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from itertools import zip_longest
 from typing import NamedTuple
 
 from .exactnum import lifted
-from .series import truncated_product
 
 #: exponent offset of each family: polynomial n has degree n - delta
 DELTA = {"r": 1, "s": 1, "sigma": 0}
@@ -30,6 +29,18 @@ def horner_terms(coeffs, num: int, den: int) -> tuple:
         acc = acc * num + c * scale
         scale *= den
     return acc * den, scale
+
+
+def truncated_product(a, b, order: int) -> list:
+    """Coefficients 0..order-1 of the product of two coefficient sequences;
+    exact for int and Fraction coefficients alike."""
+    out = [0] * order
+    for i, x in enumerate(a[:order]):
+        if x:
+            for j, y in enumerate(b[: order - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
 
 
 def plain_term(exp: int, digits: str) -> str:

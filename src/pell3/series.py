@@ -1,22 +1,11 @@
-"""Truncated formal power series with exact rational coefficients."""
+"""Test-only RatSeries: no pell3 module imports it; it stays while perfbench/tracer.py wraps it."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .exactnum import lifted, power
-
-
-def truncated_product(a, b, order: int) -> list:
-    """Coefficients 0..order-1 of the product of two coefficient sequences;
-    exact for int and Fraction coefficients alike."""
-    out = [0] * order
-    for i, x in enumerate(a[:order]):
-        if x:
-            for j, y in enumerate(b[: order - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
+from .poly import truncated_product
 
 
 class RatSeries:

@@ -54,15 +54,10 @@ print(" ".join(sorted({heavy} & (set(sys.modules) - before))))
 """
 
 
-@pytest.mark.parametrize(
-    "module", ["exactnum", "poly", "pell", "series", "lagrange", "binet", "verify", "cli"]
-)
-def test_import_loads_no_dataclasses_or_inspect(module):
-    """Measured against what the fresh interpreter held before the import,
-    since site may load inspect itself (a .pth file can)."""
+def fresh_stdout(code: str) -> str:
+    """Stdout of code run in a fresh interpreter that imports pell3 from this tree."""
     src = str(Path(pell.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = PROBE.format(module=module, heavy=HEAVY)
     run = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -70,4 +65,23 @@ def test_import_loads_no_dataclasses_or_inspect(module):
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    assert run.stdout.split() == []
+    return run.stdout
+
+
+@pytest.mark.parametrize(
+    "module", ["exactnum", "poly", "pell", "series", "lagrange", "binet", "verify", "cli"]
+)
+def test_import_loads_no_dataclasses_or_inspect(module):
+    """Measured against what the fresh interpreter held before the import,
+    since site may load inspect itself (a .pth file can)."""
+    code = PROBE.format(module=module, heavy=HEAVY)
+    assert fresh_stdout(code).split() == []
+
+
+#: what ``import pell3.cli`` loads of pell3: not series, as only tests use RatSeries
+PRODUCTION = ["exactnum", "poly", "pell", "binet", "lagrange", "verify", "cli"]
+
+
+def test_cli_loads_exactly_the_production_modules():
+    code = "import sys, pell3.cli\nprint(*(m for m in sys.modules if m.startswith('pell3')))"
+    assert set(fresh_stdout(code).split()) == {"pell3", *(f"pell3.{m}" for m in PRODUCTION)}
