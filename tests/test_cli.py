@@ -36,7 +36,11 @@ R18_PLAIN = "131072x^17+245760x^14+159744x^11+42240x^8+4032x^5+84x^2"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """main's exit code, or argparse's on a usage error, and what it printed."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     return code, capsys.readouterr().out
 
 
@@ -57,14 +61,10 @@ class TestEval:
         assert out == "3\n"
 
     def test_negative_n_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--family", "r", "--n", "-1"])
-        assert exc.value.code == 2
+        assert run(capsys, "eval", "--family", "r", "--n", "-1")[0] == 2
 
-    def test_unknown_family_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--family", "q", "--n", "3"])
-        assert exc.value.code == 2
+    def test_unknown_family_is_usage_error(self, capsys):
+        assert run(capsys, "eval", "--family", "q", "--n", "3")[0] == 2
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out = run(capsys, "eval", "--family", "r", "--n", "18")
@@ -156,41 +156,16 @@ def route_switch_indices(family: str) -> list:
 
 @functools.cache
 def by_recurrence(family: str) -> dict:
-    """The recurrence's rows at route_switch_indices(family), by n, from one
-    pass of the recurrence per family; rows in between are not kept."""
+    """The decimal digits of the recurrence's rows at route_switch_indices(family),
+    by n, from one pass of the recurrence per family; rows in between are not kept."""
     fam = pell.by_name(family)
     wanted = set(route_switch_indices(family))
     rows = islice(pell._rows(fam), max(wanted) + 1)
     return {
-        n: CompactPell(family, n, pell._x_coeffs(fam, n, row))
+        n: [str(c) for c in pell._x_coeffs(fam, n, row)]
         for n, row in enumerate(rows)
         if n in wanted
     }
-
-
-def render_poly(poly: CompactPell, fmt: str) -> str:
-    """``eval``'s output format, rendered from a CompactPell through its own
-    methods, as ``eval`` printed it before it read digit strings."""
-    if fmt == "plain":
-        return poly.to_dense().format_plain()
-    if fmt == "csv":
-        terms = [[poly.exponent(l), str(c)] for l, c in enumerate(poly.coeffs) if c]
-        return csv_text(["exp", "coeff"], terms)
-    return json.dumps(poly.to_json_dict())
-
-
-def rendered_by_recurrence(command: str, family: str, n: int, fmt: str) -> str:
-    """What ``eval``/``coeffs`` printed while both read the recurrence."""
-    poly = by_recurrence(family)[n]
-    if command == "eval":
-        text = render_poly(poly, fmt)
-        return text if text.endswith("\n") else text + "\n"
-    coeffs = [str(c) for c in poly.coeffs]
-    if fmt == "plain":
-        return (" ".join(coeffs) or "0") + "\n"
-    if fmt == "csv":
-        return "l,coeff\n" + "".join(f"{l},{c}\n" for l, c in enumerate(coeffs))
-    return json.dumps({"family": family, "n": n, "coeffs": coeffs}) + "\n"
 
 
 class TestRouteSwitch:
@@ -204,7 +179,8 @@ class TestRouteSwitch:
     def test_byte_identical_to_the_recurrence(self, capsys, command, family, fmt):
         for n in route_switch_indices(family):
             code, out = run(capsys, command, "--family", family, "--n", str(n), "--format", fmt)
-            assert (code, out) == (0, rendered_by_recurrence(command, family, n, fmt)), n
+            expected = encoded_row(command, pell.by_name(family), n, by_recurrence(family)[n], fmt)
+            assert (code, out) == (0, expected), n
 
     def test_only_triangle_runs_the_recurrence(self, capsys, monkeypatch):
         calls = []
@@ -392,10 +368,8 @@ class TestSeries:
         _, out = run(capsys, "series", "--order", "1")
         assert json.loads(out) == ["1/4"]
 
-    def test_order_zero_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["series", "--order", "0"])
-        assert exc.value.code == 2
+    def test_order_zero_is_usage_error(self, capsys):
+        assert run(capsys, "series", "--order", "0")[0] == 2
 
 
 #: the binomial side of every xi check off by one, and its verify argv
@@ -421,10 +395,8 @@ class TestVerify:
         report = json.loads(out)[0]
         assert any("W" in note for note in report["notes"])
 
-    def test_unknown_suite_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nope"])
-        assert exc.value.code == 2
+    def test_unknown_suite_is_usage_error(self, capsys):
+        assert run(capsys, "verify", "--suite", "nope")[0] == 2
 
     def test_seed_env_var_is_ignored(self, capsys, monkeypatch):
         """Only argv sets the seed; a failing report lists its t, so a seed
@@ -452,10 +424,8 @@ class TestBinetCommand:
         result = json.loads(out)
         assert result["matches_recurrence"] is True
 
-    def test_degenerate_t_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["binet", "--family", "r", "--n", "3", "--t", "1"])
-        assert exc.value.code == 2
+    def test_degenerate_t_is_usage_error(self, capsys):
+        assert run(capsys, "binet", "--family", "r", "--n", "3", "--t", "1")[0] == 2
 
     test_broken_weight_structure_exits_one = moved("weight-structure-at-n-0")
     test_recurrence_mismatch_exits_one = moved("values-from-n-3")
@@ -574,10 +544,8 @@ class TestNumericDemo:
         assert unblocked[0] == 0
 
 
-def test_missing_command_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_missing_command_is_usage_error(capsys):
+    assert run(capsys)[0] == 2
 
 
 ROUTE_ARGVS = [
@@ -704,15 +672,13 @@ def test_late_usage_error_prints_the_command_usage(capsys, argv):
     ],
     ids=" ".join,
 )
-def test_verify_usage_error_runs_no_suite(monkeypatch, argv):
+def test_verify_usage_error_runs_no_suite(monkeypatch, capsys, argv):
     """Input errors are found before the first suite runs."""
     called = []
     for name in verify.SUITES:
         runner = "run_" + name.replace("-", "_")
         monkeypatch.setattr(verify, runner, lambda *args, _name=runner, **kw: called.append(_name))
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert run(capsys, *argv)[0] == 2
     assert called == []
 
 
@@ -731,11 +697,9 @@ def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys):
     assert err == "pell3 verify: ValueError: cannot combine elements with W^2=10/3 and W^2=7/3\n"
 
 
-def test_t_samples_past_admissible_count_is_usage_error():
+def test_t_samples_past_admissible_count_is_usage_error(capsys):
     t0 = time.perf_counter()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "all", "--t-samples", "200"])
-    assert exc.value.code == 2
+    assert run(capsys, "verify", "--suite", "all", "--t-samples", "200")[0] == 2
     assert time.perf_counter() - t0 < 5
 
 
@@ -754,14 +718,11 @@ def default_int_str_limit():
 
 def test_render_past_int_str_limit(monkeypatch, capsys, default_int_str_limit):
     big = 7 * 10**4399  # 4400 digits, past the default limit of 4300
-    poly = CompactPell("r", 4, (big, 1))
     monkeypatch.setattr(pell, "_ratio_row", lambda family, n, first, step: [big, 1])
     digits = "7" + "0" * 4399
     for fmt in FORMATS:
         code, out = run(capsys, "eval", "--family", "r", "--n", "4", "--format", fmt)
-        assert code == 0
-        assert digits in out
-        assert out.rstrip("\n") == render_poly(poly, fmt).rstrip("\n")
+        assert (code, out) == (0, encoded_row("eval", pell.R, 4, [digits, "1"], fmt))
 
 
 def test_rows_never_build_a_polynomial(monkeypatch, capsys):
@@ -820,11 +781,8 @@ def transcript_difference(entry: dict, stdout: str, code: int):
 
 def replay(capsys, entry: dict):
     """One transcript entry's run through ``main``, compared as CI compares it."""
-    try:
-        code = main(entry["argv"])
-    except SystemExit as exc:
-        code = exc.code
-    assert transcript_difference(entry, capsys.readouterr().out, code) is None
+    code, out = run(capsys, *entry["argv"])
+    assert transcript_difference(entry, out, code) is None
 
 
 class TestGoldenOutput:

@@ -1,12 +1,11 @@
 """The package's records: immutable value records, and imports that stay light."""
 
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from test_cli import pell3_env
 
 from pell3 import binet, pell
 from pell3.cli import numeric_demo
@@ -56,13 +55,11 @@ print(" ".join(sorted({heavy} & (set(sys.modules) - before))))
 
 def fresh_stdout(code: str) -> str:
     """Stdout of code run in a fresh interpreter that imports pell3 from this tree."""
-    src = str(Path(pell.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=pell3_env(),
         check=True,
     )
     return run.stdout
