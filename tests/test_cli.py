@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mutants import ROW, apply, moved
+from mutants import ROW, apply
 
 from pell3 import lagrange, pell, verify
 from pell3.cli import (
@@ -124,27 +124,50 @@ class TestWrittenAsMade:
             main([command, "--family", "r", "--n", str(n), "--format", fmt])
         assert capsys.readouterr().out == ""
 
-    def test_triangle_peak_memory_is_about_one_row(self):
-        """triangle at max-n 1500 prints 104 MB of csv, and a row of it at
-        most 0.3 MB.  The peak RSS is read by a fresh interpreter that starts
-        only the triangle, since getrusage's RUSAGE_CHILDREN figure is the
-        largest over every child a process has waited for."""
-        argv = ["triangle", "--family", "r", "--max-n", "1500", "--format", "csv"]
+    @pytest.mark.parametrize(
+        "sha256, limit_mb, argv",
+        [
+            ("e538f0dc24b0d2b3bc30cfbc4b913abaccae546313f6138313077d25695cd1d7", 40,
+             "triangle --family r --max-n 1500 --format csv"),
+            ("27e04625ee88f30f21763c804a09b15e91eeecdc280f80e2ebb99ac243c82682", 40,
+             "triangle --family r --max-n 1500 --format json"),
+            ("314d44f850946b3afe97e3bb037fdae47bfbee4b17e4709eb767bfdb64f6b2aa", 40,
+             "triangle --family r --max-n 1500 --format plain"),
+            ("7c30504c0135a5b1ad63997504eb683f23ba0bc5888b8fe6f1102df01560ba3c", 245,
+             "eval --family r --n 40000 --format json"),
+        ],
+        ids=["triangle-csv", "triangle-json", "triangle-plain", "eval-json"],
+    )
+    def test_large_output_keeps_its_bytes_in_bounded_memory(self, sha256, limit_mb, argv):
+        """Each stdout has the sha256 it had before eval, coeffs and triangle
+        wrote it as made, and a peak RSS under the limit: triangle at max-n
+        1500 prints 104 MB of csv, and a row of it at most 0.3 MB.  A fresh
+        interpreter starts only the command and hashes its stdout as it
+        streams, since getrusage's RUSAGE_CHILDREN figure is the largest over
+        every child a process has waited for."""
         probe = (
-            "import resource, subprocess, sys\n"
+            "import hashlib, resource, subprocess, sys\n"
             "argv = [sys.executable, '-m', 'pell3', *sys.argv[1:]]\n"
-            "subprocess.run(argv, stdout=subprocess.DEVNULL, check=True)\n"
-            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "child = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE)\n"
+            "digest = hashlib.sha256()\n"
+            "for chunk in iter(lambda: child.stdout.read(1 << 16), b''):\n"
+            "    digest.update(chunk)\n"
+            "code = child.wait()\n"
+            "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(code, digest.hexdigest(), peak)\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
+            [sys.executable, "-c", probe, *argv.split()],
             capture_output=True,
             text=True,
             env=pell3_env(),
             check=True,
+            timeout=20,
         )
-        peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
-        assert peak_mb < 40
+        code, digest, peak = done.stdout.split()
+        peak_mb = int(peak) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert (int(code), digest) == (0, sha256)
+        assert peak_mb < limit_mb
 
 
 def route_switch_indices(family: str) -> list:
@@ -414,8 +437,6 @@ class TestVerify:
 
         assert failing_t("--seed", "7") != failing_t("--seed", "42") == failing_t()
 
-    test_failed_check_exits_one = moved(XI_FAULT.id)
-
 
 class TestBinetCommand:
     def test_match(self, capsys):
@@ -426,10 +447,6 @@ class TestBinetCommand:
 
     def test_degenerate_t_is_usage_error(self, capsys):
         assert run(capsys, "binet", "--family", "r", "--n", "3", "--t", "1")[0] == 2
-
-    test_broken_weight_structure_exits_one = moved("weight-structure-at-n-0")
-    test_recurrence_mismatch_exits_one = moved("values-from-n-3")
-    test_mutant_is_caught = moved("Z-factor", "seed-scale", "odd-exponent", ids=str)
 
 
 @pytest.mark.parametrize(
@@ -680,10 +697,6 @@ def test_verify_usage_error_runs_no_suite(monkeypatch, capsys, argv):
         monkeypatch.setattr(verify, runner, lambda *args, _name=runner, **kw: called.append(_name))
     assert run(capsys, *argv)[0] == 2
     assert called == []
-
-
-# a suite that raises is a fault in the code, not in the command line
-test_fault_inside_a_suite_is_not_a_usage_error = moved("mixed-discriminant")
 
 
 def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys):
