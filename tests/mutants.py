@@ -144,6 +144,25 @@ def assert_killed(row: Row) -> None:
         assert mutated_outcome(row.id) != ROW[row.hides].expected
 
 
+def moved(*row_ids: str, ids: list | None = None) -> staticmethod:
+    """A fault test moved into the table, under its old name: it asserts the
+    rows killed, one case each when ids are given.  A staticmethod serves in
+    a test class and at module level alike."""
+    if ids:
+
+        @pytest.mark.parametrize("row_id", row_ids, ids=ids)
+        def test(row_id):
+            assert_killed(ROW[row_id])
+
+    else:
+
+        def test():
+            for row_id in row_ids:
+                assert_killed(ROW[row_id])
+
+    return staticmethod(test)
+
+
 def each(ts, checks, families=(None,)) -> list:
     """(t, n, check) for each t, family and (n, check) of checks, in that
     order, the check prefixed "<family>: " as verify prefixes it."""

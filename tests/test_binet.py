@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mutants import ROW, apply, assert_killed
+from mutants import ROW, apply, assert_killed, moved
 
 from pell3 import binet
 from pell3.binet import (
@@ -159,6 +159,8 @@ class TestBinetEval:
         with pytest.raises(ValueError):
             binet_eval(R, -1, POINTS[0])
 
+    test_broken_weight_structure_raises = moved("weight-structure-at-n-0")
+
 
 class TestNumeratorsStart:
     # 7/3 and -3/2 have D = (q+p)(5q-3p) < 0
@@ -170,6 +172,17 @@ class TestNumeratorsStart:
             run = list(islice(binet.binet_numerators(pt, co.a, co.b, co.c), 61))
             for k, term in enumerate(run):
                 assert next(binet.binet_numerators(pt, co.a, co.b, co.c, k)) == term, (family, k)
+
+
+class TestWPartUnits:
+    """binet_numerators reports W-parts in units of W; callers take them as is."""
+
+    test_run_roots_reads_each_part = moved(
+        "W-part-plus-one-roots",
+        "rational-part-plus-one-roots",
+        ids=["0-1-power-sum q_n differs", "1-0-power-sum p_n differs"],
+    )
+    test_binet_eval_reports_w_part_in_w = moved("W-part-plus-one-at-n-3")
 
 
 class TestRadicalCancellation:

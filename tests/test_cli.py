@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mutants import ROW, apply
+from mutants import ROW, apply, moved
 
 from pell3 import lagrange, pell, verify
 from pell3.cli import (
@@ -437,6 +437,8 @@ class TestVerify:
 
         assert failing_t("--seed", "7") != failing_t("--seed", "42") == failing_t()
 
+    test_failed_check_exits_one = moved(XI_FAULT.id)
+
 
 class TestBinetCommand:
     def test_match(self, capsys):
@@ -447,6 +449,10 @@ class TestBinetCommand:
 
     def test_degenerate_t_is_usage_error(self, capsys):
         assert run(capsys, "binet", "--family", "r", "--n", "3", "--t", "1")[0] == 2
+
+    test_broken_weight_structure_exits_one = moved("weight-structure-at-n-0")
+    test_recurrence_mismatch_exits_one = moved("values-from-n-3")
+    test_mutant_is_caught = moved("Z-factor", "seed-scale", "odd-exponent", ids=str)
 
 
 @pytest.mark.parametrize(
@@ -697,6 +703,10 @@ def test_verify_usage_error_runs_no_suite(monkeypatch, capsys, argv):
         monkeypatch.setattr(verify, runner, lambda *args, _name=runner, **kw: called.append(_name))
     assert run(capsys, *argv)[0] == 2
     assert called == []
+
+
+# a suite that raises is a fault in the code, not in the command line
+test_fault_inside_a_suite_is_not_a_usage_error = moved("mixed-discriminant")
 
 
 def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys):

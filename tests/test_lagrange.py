@@ -3,6 +3,7 @@ from math import comb as binomial
 from math import gcd
 
 import pytest
+from mutants import moved
 
 from pell3.lagrange import (
     first_term_coefficient,
@@ -103,6 +104,10 @@ class TestRadius:
     def test_order_bound(self):
         with pytest.raises(ValueError):
             radius_estimate(9)
+
+
+test_perturbed_inversion_coefficient_is_caught = moved("inversion-coefficient-3")
+test_inexact_inversion_division_is_caught = moved("inexact-inversion-division")
 
 
 def first_term_by_squaring(n: int, order: int) -> list:

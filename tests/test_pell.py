@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mutants import ROW, assert_killed, certificate
+from mutants import ROW, assert_killed, certificate, moved
 
 from pell3 import pell
 from pell3.pell import (
@@ -230,12 +230,27 @@ class TestCoefficientDigits:
         assert seen == {(decimal.MAX_PREC, decimal.MAX_EMAX, True)}
 
 
+#: the grid line (axis-family) each one-line perturbation of the term ratio keeps
+GRID_LINES = ["l-r", "l-s", "l-sigma", "n-r", "n-s", "n-sigma"]
+
+
 class TestClosedFormCertificate:
     """Each mutant of the code the certificate covers must break it: rows of
     the mutant table."""
 
     def test_holds_for_every_family(self):
         assert certificate() == {"r": [], "s": [], "sigma": []}
+
+    test_perturbed_binomial_step = moved("binomial-step")
+    test_perturbed_prefactor = moved("prefactor-s", "prefactor-sigma", ids=["s", "sigma"])
+    test_perturbation_on_one_grid_line = moved(
+        *(f"grid-line-{case}" for case in GRID_LINES), ids=GRID_LINES
+    )
+    test_perturbed_paper_numerator = moved("paper-sigma-n-plus-l", "paper-sigma-n-plus-1")
+    test_base_row_off_by_one = moved("closed-form-base-row")
+    test_digits_off_by_one = moved("digits-base-row")
+    test_grid_of_d_points = moved("grid-of-d-points")
+    test_failure_is_one_closed_form_report_entry = moved("grid-of-d-points-verify")
 
     def test_stated_degree_bounds(self):
         import sympy

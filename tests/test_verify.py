@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from mutants import moved
 
 from pell3 import binet, lagrange, verify
 from pell3.exactnum import QuadExt
@@ -41,6 +42,24 @@ class TestRunSuite:
             verify.run_suite("nope")
 
 
+class TestMutationsAreCaught:
+    """The integer kernels must fail loudly on a wrong input, not pass
+    vacuously: rows of the mutant table."""
+
+    test_perturbed_b_weight = moved("b-weight")
+    test_radical_in_a_weight = moved("a-weight")
+    test_broken_weight_structure = moved(
+        "W-moved-from-B-to-A", "W-added-to-A", "W-added-to-B", ids=str
+    )
+    test_perturbed_printed_weight_fails_only_the_weight_comparison = moved("printed-s-weight")
+    test_perturbed_binomial_term = moved("binomial-term")
+    test_odd_binomial_weight_six_to_five = moved("xi-six-to-five")
+    test_perturbed_root_fails_its_identities_in_order = moved(
+        "root-v2", "root-w1", "root-w2", "root-w3", "root-v3",
+        ids=["v2-failed0", "w1-failed1", "w2-failed2", "w3-failed3", "v3-failed4"],
+    )
+
+
 #: t on and off the sample grid, beyond 5/3 (D < 0) included
 TS = [Fraction(0), Fraction(1, 2), Fraction(-5, 7), Fraction(11, 12), Fraction(7, 3)]
 
@@ -65,6 +84,19 @@ class TestOnePassXi:
             # reference: the same sum powered in the extension
             ref = weight_low * low**n + weight_high * high**n
             assert pair == (ref.a, ref.b)
+
+    test_w_part_mutation_is_caught = moved("W-part-plus-one-xi")
+
+
+class TestBinetSweepPolynomials:
+    test_perturbed_recurrence_row_is_caught = moved("value-at-n-5")
+
+
+class TestClosedFormSweep:
+    """Each closed-form row against the same y-row of one recurrence pass."""
+
+    test_perturbed_recurrence_row_fails_once_per_family = moved("closed-form-row-37")
+    test_non_integral_coefficient_fails_at_its_n_only = moved("non-integral-at-37")
 
 
 class TestRootsSuite:
@@ -97,3 +129,10 @@ class TestLagrangeSuite:
         # check_bridge checks its prefix through check_first_term as well
         assert set(seen["check_first_term"]) == set(range(max_n + 1))
         assert seen["check_bridge"] == list(range(1, max_n + 1))
+
+    test_perturbed_triangle_row_fails_the_bridge_once = moved("triangle-row-37")
+    test_radius_ratio_off_its_closed_form_is_reported = moved("radius-ratio-off")
+    test_failures_come_in_check_order = moved("inversion-coefficient-3")
+    test_perturbed_inversion_coefficient_fails_the_first_term_check = moved(
+        "inversion-coefficient-3"
+    )
