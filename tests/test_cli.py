@@ -705,10 +705,6 @@ def test_verify_usage_error_runs_no_suite(monkeypatch, capsys, argv):
     assert called == []
 
 
-# a suite that raises is a fault in the code, not in the command line
-test_fault_inside_a_suite_is_not_a_usage_error = moved("mixed-discriminant")
-
-
 def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys):
     """An exception other than a refuted identity exits 3 and prints the
     command, its type and its message as one line, with no traceback."""
@@ -789,23 +785,17 @@ BINET_ENTRIES = [BY_ARGV[argv] for argv in BINET_ARGV]
 OTHER_ENTRIES = [entry for entry in TRANSCRIPT if entry not in BINET_ENTRIES]
 
 
-def transcript_difference(entry: dict, stdout: str, code: int):
-    """None if a run printed the entry's stdout and exited with its code, else
-    one line on what differs. CI's replay through the installed ``pell3``
-    imports it too."""
-    if code != entry["exit"]:
-        return f"exit code {code}, expected {entry['exit']}"
-    if "sha256" in entry:
-        digest = hashlib.sha256(stdout.encode()).hexdigest()
-        return None if digest == entry["sha256"] else f"stdout has sha256 {digest}"
-    at = first_difference(stdout, entry["stdout"])
-    return at and "stdout differs at offset %d: %r, expected %r" % at
-
-
 def replay(capsys, entry: dict):
-    """One transcript entry's run through ``main``, compared as CI compares it."""
+    """One transcript entry's run through ``main``: its exit code, then its
+    stdout or the sha256 of it."""
     code, out = run(capsys, *entry["argv"])
-    assert transcript_difference(entry, out, code) is None
+    assert code == entry["exit"], f"exit code {code}, expected {entry['exit']}"
+    if "sha256" in entry:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == entry["sha256"], f"stdout has sha256 {digest}"
+    else:
+        at = first_difference(out, entry["stdout"])
+        assert at is None, "stdout differs at offset %d: %r, expected %r" % at
 
 
 class TestGoldenOutput:

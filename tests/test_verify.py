@@ -42,24 +42,6 @@ class TestRunSuite:
             verify.run_suite("nope")
 
 
-class TestMutationsAreCaught:
-    """The integer kernels must fail loudly on a wrong input, not pass
-    vacuously: rows of the mutant table."""
-
-    test_perturbed_b_weight = moved("b-weight")
-    test_radical_in_a_weight = moved("a-weight")
-    test_broken_weight_structure = moved(
-        "W-moved-from-B-to-A", "W-added-to-A", "W-added-to-B", ids=str
-    )
-    test_perturbed_printed_weight_fails_only_the_weight_comparison = moved("printed-s-weight")
-    test_perturbed_binomial_term = moved("binomial-term")
-    test_odd_binomial_weight_six_to_five = moved("xi-six-to-five")
-    test_perturbed_root_fails_its_identities_in_order = moved(
-        "root-v2", "root-w1", "root-w2", "root-w3", "root-v3",
-        ids=["v2-failed0", "w1-failed1", "w2-failed2", "w3-failed3", "v3-failed4"],
-    )
-
-
 #: t on and off the sample grid, beyond 5/3 (D < 0) included
 TS = [Fraction(0), Fraction(1, 2), Fraction(-5, 7), Fraction(11, 12), Fraction(7, 3)]
 
