@@ -367,7 +367,10 @@ def main(argv=None) -> int:
         except (IdentityViolationError, BrokenPipeError):
             raise
         except Exception as exc:
-            print(f"pell3 {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            # the argv word names the command: args is unbound when parsing raised
+            words = sys.argv[1:] if argv is None else argv
+            name = f"pell3 {words[0]}" if words else "pell3"
+            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_FAULT
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not in the exit flush

@@ -83,7 +83,11 @@ def apply(monkeypatch, *rows: Row) -> None:
     """Patch each row's fault in, until monkeypatch is undone: its target
     compiled from the real source with the text replaced, in the module's own
     namespace, then every module constant derived from it re-assigned, and
-    each result put wherever another pell3 module holds the original."""
+    each result put wherever another pell3 module holds the original.  Every
+    cached pell3 function gets an empty cache of its own meanwhile, so nothing
+    cached on one side of the fault answers on the other (the parser that
+    build_parser caches holds the type functions of its arguments)."""
+    modules = [m for key, m in sys.modules.items() if key.startswith("pell3.")]
     edits = {}
     for row in rows:
         edits.setdefault(row.target, []).append(row)
@@ -106,10 +110,14 @@ def apply(monkeypatch, *rows: Row) -> None:
             code = compile("\n" * (node.lineno - 1) + text, module.__file__, "exec", flags, True)
             exec(code, vars(module))
             changed |= names
-        for holder in [m for key, m in sys.modules.items() if key.startswith("pell3.")]:
+        for holder in modules:
             for bound in changed:
                 if holder is not module and getattr(holder, bound, None) is originals[bound]:
                     monkeypatch.setattr(holder, bound, getattr(module, bound))
+    for holder in modules:
+        for name, value in list(vars(holder).items()):
+            if hasattr(value, "cache_clear"):
+                monkeypatch.setattr(holder, name, functools.cache(value.__wrapped__))
 
 
 def outcome(run: tuple):
@@ -371,6 +379,9 @@ ROWS = [
     # a fault in the code, not in the command line: exit 3, nothing on stdout
     Row("mixed-discriminant", "binet.roots", "w2=w2,", "w2=QuadExt(w2.a, w2.b, d + 1),",
         (cli, "verify", "--suite", "roots", "--max-n", "2", "--t-samples", "2"), (3, None)),
+    # a fault while the command line is parsed, before any command is bound
+    Row("fault-while-parsing", "cli._nonneg", "value = int(text)", "value = int(text) // 0",
+        (cli, "eval", "--family", "r", "--n", "3"), (3, None)),
     # -- the closed-form suite and its certificate
     Row("closed-form-row-37", "verify.run_closed_form", "report.check(cf == row,",
         "report.check(cf == ([row[0] + 1, *row[1:]] if n == 37 else row),",

@@ -705,15 +705,33 @@ def test_verify_usage_error_runs_no_suite(monkeypatch, capsys, argv):
     assert called == []
 
 
-def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys):
+#: the stderr line of each fault row: a fault in a command, and one in parsing its argv
+FAULT_LINES = {
+    "mixed-discriminant": "pell3 verify: ValueError: cannot combine elements with W^2=10/3 and "
+                          "W^2=7/3",
+    "fault-while-parsing": "pell3 eval: ZeroDivisionError: integer division or modulo by zero",
+}
+
+
+@pytest.mark.parametrize("row_id, line", FAULT_LINES.items(), ids=FAULT_LINES)
+def test_fault_is_one_stderr_line_and_exit_three(monkeypatch, capsys, row_id, line):
     """An exception other than a refuted identity exits 3 and prints the
     command, its type and its message as one line, with no traceback."""
-    row = ROW["mixed-discriminant"]
+    row = ROW[row_id]
     apply(monkeypatch, row)
     code = main(list(row.run[1:]))
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
-    assert err == "pell3 verify: ValueError: cannot combine elements with W^2=10/3 and W^2=7/3\n"
+    assert err == line + "\n"
+
+
+def test_non_str_argv_word_is_a_fault(capsys):
+    """An in-process caller's argv word that is not a str fails inside
+    argparse, before a command is bound: exit 3, one stderr line."""
+    assert main([1]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_t_samples_past_admissible_count_is_usage_error(capsys):
