@@ -6,6 +6,10 @@ command it names (see ``parse_args``), and calls that command.  Exit
 codes: 0 on success, 1 when an identity check fails, 2 on usage errors,
 3 on a fault in the code: any other exception, reported as one stderr
 line; 141 (128 + SIGPIPE), silently, when the reader closes stdout early.
+
+Every request starts an interpreter, so this module imports only what the
+parser needs (``verify`` for the suite names and defaults): each command,
+type function and ``main`` imports the modules it runs, when it runs.
 """
 
 from __future__ import annotations
@@ -13,17 +17,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import re
 import sys
-from fractions import Fraction
-from itertools import islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import binet, lagrange, pell, verify
-from .exactnum import IdentityViolationError
-from .poly import plain_term
+from . import verify
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import pell
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -35,6 +39,8 @@ FORMATS = ("json", "csv", "plain")
 
 
 def _family(text: str) -> pell.Family:
+    from . import pell
+
     name = {"σ": "sigma"}.get(text, text)
     try:
         return pell.by_name(name)
@@ -60,6 +66,8 @@ def _positive(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -71,6 +79,8 @@ def _print_records(fmt: str, header: list, rows: list) -> None:
     object per row, keyed by the header, and csv the rows under it.  Their
     ints, Fraction strings and floats (whose str is their repr) never hold
     ',', '"' or a newline, so csv.writer would quote none."""
+    import json
+
     if fmt == "json":
         print(json.dumps([dict(zip(header, row)) for row in rows]))
     else:
@@ -97,6 +107,8 @@ def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str)
         items = (f"{k},{d}\n" for k, d in terms)
         head, between, tail = ("l" if coeffs else "exp") + ",coeff\n", "", ""
     elif fmt == "plain":
+        from .poly import plain_term
+
         items = (d if coeffs else plain_term(k, d) for k, d in terms)
         head, between, tail = "", " " if coeffs else "+", "\n"
     else:
@@ -114,6 +126,8 @@ def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str)
 
 
 def cmd_row(args) -> int:
+    from . import pell
+
     # every division of the row is checked before its first byte is written
     digits = pell.coefficient_digits(args.family, args.n)
     write_row(args.command, args.family, args.n, digits, args.format)
@@ -121,6 +135,8 @@ def cmd_row(args) -> int:
 
 
 def cmd_triangle(args) -> int:
+    from . import pell
+
     pell.write_triangle(sys.stdout, args.family, args.max_n, args.format)
     return EXIT_OK
 
@@ -129,6 +145,8 @@ def cmd_series(args) -> int:
     """Coefficients 1..order as num/den in lowest terms, which is str() of
     their Fraction (the denominator is never 1), assembled as in
     ``write_row``."""
+    from . import lagrange
+
     terms = [lagrange.inversion_lowest_terms(n) for n in range(1, args.order + 1)]
     if args.format == "plain":
         print("".join(["%d/%d\n" % t for t in terms]), end="")
@@ -141,6 +159,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from . import binet
+
     # the input errors a suite would raise, found before any suite runs:
     # closed-form and lagrange sample no t, and only lagrange needs order >= 1
     cap = len(binet.SAMPLE_T)
@@ -154,6 +176,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_binet(args) -> int:
+    import json
+    from fractions import Fraction
+    from itertools import islice
+
+    from . import binet, pell
+    from .exactnum import IdentityViolationError
+
     try:
         point = binet.substitution_chain(args.t)
     except ValueError as exc:
@@ -334,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("numeric-demo", cmd_numeric_demo, "float Binet vs exact recurrence")
     p.add_argument("--family", type=_family, required=True)
     p.add_argument("--n-max", type=_nonneg, default=40)
-    p.add_argument("--x", type=_rational, default=Fraction(1))
+    p.add_argument("--x", type=_rational, default="1")
     add_format(p)
 
     return parser
@@ -364,9 +393,11 @@ def main(argv=None) -> int:
         try:
             args = parse_args(argv)  # help and usage errors print here and raise SystemExit
             return args.func(args)
-        except (IdentityViolationError, BrokenPipeError):
-            raise
         except Exception as exc:
+            from .exactnum import IdentityViolationError
+
+            if isinstance(exc, (IdentityViolationError, BrokenPipeError)):
+                raise
             # the argv word names the command: args is unbound when parsing raised
             words = sys.argv[1:] if argv is None else argv
             name = f"pell3 {words[0]}" if words else "pell3"

@@ -4,18 +4,16 @@ Each suite sweeps an identity over a deterministic grid (index n, seeded
 rational t samples, or both) and hands every verdict to SuiteReport.check,
 the one rule that turns a failed check into a failure entry.  A clean run
 means every checked identity held with no rounding and no tolerance.
+Each suite imports the modules it checks when it runs, so the command
+line's parser, which reads SUITES and the defaults, loads none of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import islice
+from typing import TYPE_CHECKING
 
-from . import binet, lagrange
-from .exactnum import IdentityViolationError
-from .pell import FAMILIES, R, Family, closed_form_certificate, coefficient_triangle
-from .pell import _ratio_row, _rows, values_at
-from .poly import horner_terms
+if TYPE_CHECKING:
+    from .pell import Family
 
 #: suite name -> (default max_n, runner(max_n, t_samples, seed)), in the
 #: order --suite all runs them.  Each runner looks its suite function up
@@ -59,6 +57,11 @@ def run_closed_form(max_n: int) -> SuiteReport:
     """Closed form == recurrence for every family over its valid range:
     proved for every n by pell.closed_form_certificate, compared row by row
     up to max_n in y-form, before the injective shift to x both routes share."""
+    from itertools import islice
+
+    from .exactnum import IdentityViolationError
+    from .pell import FAMILIES, _ratio_row, _rows, closed_form_certificate
+
     report = SuiteReport("closed-form", 0, max_n)
     for family in FAMILIES.values():
         for check in closed_form_certificate(family):
@@ -79,6 +82,9 @@ def run_binet(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     pass over n for each family and t.  pell.values_at gives p_n's
     z-normalized value as h_n/q^n, so the comparison r/m == h_n/q^n is one
     cross-multiplication of integers."""
+    from . import binet
+    from .pell import FAMILIES, values_at
+
     report = SuiteReport("binet", t_samples, max_n)
     report.notes.append(
         "s-family closed-form weights corrected: second term of B and C "
@@ -105,6 +111,8 @@ def run_binet(max_n: int, t_samples: int, seed: int) -> SuiteReport:
 
 def run_xi(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Radical cancellation: extension arithmetic vs. binomial double sum."""
+    from . import binet
+
     report = SuiteReport("xi", t_samples, max_n)
     rows = [binet.radical_binomial_coefficients(n) for n in range(max_n + 1)]
     for point in binet.sample_points(t_samples, seed):
@@ -120,6 +128,11 @@ def run_xi(max_n: int, t_samples: int, seed: int) -> SuiteReport:
 
 def run_roots(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Root identities, reciprocity, and power-sum polynomials."""
+    from fractions import Fraction
+
+    from . import binet
+    from .poly import horner_terms
+
     report = SuiteReport("roots", t_samples, max_n)
     p_polys, q_polys = binet.power_sums(max_n)
     for point in binet.sample_points(t_samples, seed):
@@ -149,16 +162,6 @@ def run_roots(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     return report
 
 
-def _raised(check, *args) -> str | None:
-    """The message of the IdentityViolationError that check(*args) raises,
-    or None when it returns."""
-    try:
-        check(*args)
-    except IdentityViolationError as exc:
-        return str(exc)
-    return None
-
-
 def run_lagrange(order: int) -> SuiteReport:
     """Inversion oracle, leading-term expansion, bridge, and radius ratio.
 
@@ -170,6 +173,22 @@ def run_lagrange(order: int) -> SuiteReport:
     identity while the series or the ratios are built is one failure entry,
     and the checks that need them are skipped.
     """
+    from fractions import Fraction
+    from itertools import islice
+
+    from . import lagrange
+    from .exactnum import IdentityViolationError
+    from .pell import R, coefficient_triangle
+
+    def _raised(check, *args) -> str | None:
+        """The message of the IdentityViolationError that check(*args)
+        raises, or None when it returns."""
+        try:
+            check(*args)
+        except IdentityViolationError as exc:
+            return str(exc)
+        return None
+
     report = SuiteReport("lagrange", 0, order)
     error = _raised(lagrange.verify_inversion, order)
     report.check(error is None, f"inversion: {error}", n=order)

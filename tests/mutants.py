@@ -37,11 +37,14 @@ def suite(name: str, max_n: int, t_samples: int = 2, seed: int = 42) -> list:
 
 
 def cli(*argv: str) -> tuple:
-    """The exit code of one pell3 command and its stdout, parsed as JSON,
-    or None when it printed nothing."""
+    """The exit code of one pell3 command, argparse's on a usage error, and
+    its stdout, parsed as JSON, or None when it printed nothing."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     text = out.getvalue()
     return code, json.loads(text) if text else None
 
@@ -294,6 +297,10 @@ ROWS = [
     Row("bridge-sign-map", "lagrange.check_bridge", "(-1) ** l * ", "", (suite, "lagrange", 5),
         [(None, 4, "bridge: sign-mapped prefix [8, -1] differs from r_4 coefficients [8, 1]"),
          (None, 5, "bridge: sign-mapped prefix [16, -4] differs from r_5 coefficients [16, 4]")]),
+    # an exception inside a check that is no refuted identity leaves the suite
+    Row("bridge-fault-at-5", "lagrange.check_bridge", "coeffs[: (n - 1) // 3 + 1]",
+        "coeffs[: (n - 1) // 3 + 1 + 0 // (n - 5)]", (suite, "lagrange", 8),
+        (ZeroDivisionError, "integer division or modulo by zero")),
     # -- the binet command
     Row("Z-factor", "pell.values_at", "(q - p) ** 2 * (q + p)", "(q - p) * (q + p) ** 2",
         (cli, "binet", "--family", "r", "--n", "9", "--t=-5/7"),
@@ -382,6 +389,10 @@ ROWS = [
     # a fault while the command line is parsed, before any command is bound
     Row("fault-while-parsing", "cli._nonneg", "value = int(text)", "value = int(text) // 0",
         (cli, "eval", "--family", "r", "--n", "3"), (3, None)),
+    # a zero denominator is a usage error, not a fault
+    Row("rational-zero-denominator", "cli._rational", "except (ValueError, ZeroDivisionError):",
+        "except ValueError:", (cli, "binet", "--family", "r", "--n", "3", "--t", "1/0"),
+        (3, None)),
     # -- the closed-form suite and its certificate
     Row("closed-form-row-37", "verify.run_closed_form", "report.check(cf == row,",
         "report.check(cf == ([row[0] + 1, *row[1:]] if n == 37 else row),",

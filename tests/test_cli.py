@@ -447,8 +447,14 @@ class TestBinetCommand:
         result = json.loads(out)
         assert result["matches_recurrence"] is True
 
-    def test_degenerate_t_is_usage_error(self, capsys):
-        assert run(capsys, "binet", "--family", "r", "--n", "3", "--t", "1")[0] == 2
+    @pytest.mark.parametrize("t, message", [("1", "t=1 makes the factor 1-t vanish"),
+                                            ("1/0", "not a rational number: '1/0'")],
+                             ids=["1", "1/0"])
+    def test_degenerate_t_is_usage_error(self, capsys, t, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["binet", "--family", "r", "--n", "3", "--t", t])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     test_broken_weight_structure_exits_one = moved("weight-structure-at-n-0")
     test_recurrence_mismatch_exits_one = moved("values-from-n-3")
@@ -710,6 +716,7 @@ FAULT_LINES = {
     "mixed-discriminant": "pell3 verify: ValueError: cannot combine elements with W^2=10/3 and "
                           "W^2=7/3",
     "fault-while-parsing": "pell3 eval: ZeroDivisionError: integer division or modulo by zero",
+    "rational-zero-denominator": "pell3 binet: ZeroDivisionError: Fraction(1, 0)",
 }
 
 

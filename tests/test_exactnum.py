@@ -30,8 +30,9 @@ class TestGenBinomial:
         assert gen_binomial(m, k) == expected
 
     def test_negative_lower_index_rejected(self):
-        with pytest.raises(ValueError):
-            gen_binomial(5, -1)
+        for m in (5, 3):
+            with pytest.raises(ValueError, match="^lower index must be nonnegative, got -1$"):
+                gen_binomial(m, -1)
 
     def test_negation_of_upper_index(self):
         # the sign bridge between the series expansion and the closed form

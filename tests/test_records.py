@@ -75,10 +75,33 @@ def test_import_loads_no_dataclasses_or_inspect(module):
     assert fresh_stdout(code).split() == []
 
 
-#: what ``import pell3.cli`` loads of pell3: not series, as only tests use RatSeries
-PRODUCTION = ["exactnum", "poly", "pell", "binet", "lagrange", "verify", "cli"]
+#: what start-up newly loads of pell3 and of fractions, decimal and json
+STARTUP = """
+import sys
+before = set(sys.modules)
+import pell3.cli
+pell3.cli.build_parser()
+new = set(sys.modules) - before
+print(*(m for m in new if m.startswith("pell3") or m in {"fractions", "decimal", "json"}))
+"""
 
 
 def test_cli_loads_exactly_the_production_modules():
-    code = "import sys, pell3.cli\nprint(*(m for m in sys.modules if m.startswith('pell3')))"
-    assert set(fresh_stdout(code).split()) == {"pell3", *(f"pell3.{m}" for m in PRODUCTION)}
+    """Every request pays start-up: the parser needs only verify's suite
+    names and defaults, and each command imports the modules it runs."""
+    assert set(fresh_stdout(STARTUP).split()) == {"pell3", "pell3.cli", "pell3.verify"}
+
+
+#: the row commands, then which of binet and lagrange are loaded
+ROW_COMMANDS = """
+import contextlib, io, sys
+from pell3.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([command, "--family", "r", bound, "5"])
+             for command, bound in [("eval", "--n"), ("coeffs", "--n"), ("triangle", "--max-n")]]
+print(*codes, *(m for m in ("pell3.binet", "pell3.lagrange") if m in sys.modules))
+"""
+
+
+def test_row_commands_load_neither_binet_nor_lagrange():
+    assert fresh_stdout(ROW_COMMANDS).split() == ["0", "0", "0"]
