@@ -92,15 +92,17 @@ def substitution_chain(t) -> SubstitutionPoint:
 
     Rejects t in {1, -1, -1/3, 5/3}: there the roots collide or a Binet
     weight has a pole, and the ValueError names the vanishing factor.
+    z and d are built on integers, at t = p/q one Fraction each.
     """
     t = Fraction(t)
     factor = _EXCLUDED_T.get(t)
     if factor is not None:
         raise ValueError(f"t={t} makes the factor {factor} vanish")
+    p, q = t.numerator, t.denominator
     return SubstitutionPoint(
         t=t,
-        z=(1 - t) ** 2 * (1 + t),
-        d=(1 + t) * (5 - 3 * t),
+        z=Fraction((q - p) ** 2 * (q + p), q**3),
+        d=Fraction((q + p) * (5 * q - 3 * p), q**2),
     )
 
 

@@ -9,7 +9,11 @@ line; 141 (128 + SIGPIPE), silently, when the reader closes stdout early.
 
 Every request starts an interpreter, so this module imports only what the
 parser needs (``verify`` for the suite names and defaults): each command,
-type function and ``main`` imports the modules it runs, when it runs.
+type function and ``main`` imports the modules it runs, when it runs.  Such
+an import names a module absolutely (``import pell3.pell as pell``,
+``import fractions``), which CPython resolves in C once the module is
+loaded; a relative or ``from`` import runs importlib's Python code on every
+call.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ FORMATS = ("json", "csv", "plain")
 
 
 def _family(text: str) -> pell.Family:
-    from . import pell
+    import pell3.pell as pell
 
     name = {"σ": "sigma"}.get(text, text)
     try:
@@ -66,10 +70,10 @@ def _positive(text: str) -> int:
 
 
 def _rational(text: str) -> Fraction:
-    from fractions import Fraction
+    import fractions
 
     try:
-        return Fraction(text)
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
@@ -107,9 +111,9 @@ def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str)
         items = (f"{k},{d}\n" for k, d in terms)
         head, between, tail = ("l" if coeffs else "exp") + ",coeff\n", "", ""
     elif fmt == "plain":
-        from .poly import plain_term
+        import pell3.poly as poly
 
-        items = (d if coeffs else plain_term(k, d) for k, d in terms)
+        items = (d if coeffs else poly.plain_term(k, d) for k, d in terms)
         head, between, tail = "", " " if coeffs else "+", "\n"
     else:
         items = (f'"{d}"' if coeffs else f'{{"exp": {k}, "coeff": "{d}"}}' for k, d in terms)
@@ -126,7 +130,7 @@ def write_row(command: str, family: pell.Family, n: int, digits: list, fmt: str)
 
 
 def cmd_row(args) -> int:
-    from . import pell
+    import pell3.pell as pell
 
     # every division of the row is checked before its first byte is written
     digits = pell.coefficient_digits(args.family, args.n)
@@ -135,7 +139,7 @@ def cmd_row(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    from . import pell
+    import pell3.pell as pell
 
     pell.write_triangle(sys.stdout, args.family, args.max_n, args.format)
     return EXIT_OK
@@ -145,7 +149,7 @@ def cmd_series(args) -> int:
     """Coefficients 1..order as num/den in lowest terms, which is str() of
     their Fraction (the denominator is never 1), assembled as in
     ``write_row``."""
-    from . import lagrange
+    import pell3.lagrange as lagrange
 
     terms = [lagrange.inversion_lowest_terms(n) for n in range(1, args.order + 1)]
     if args.format == "plain":
@@ -161,7 +165,7 @@ def cmd_series(args) -> int:
 def cmd_verify(args) -> int:
     import json
 
-    from . import binet
+    import pell3.binet as binet
 
     # the input errors a suite would raise, found before any suite runs:
     # closed-form and lagrange sample no t, and only lagrange needs order >= 1
@@ -176,12 +180,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_binet(args) -> int:
+    import fractions
+    import itertools
     import json
-    from fractions import Fraction
-    from itertools import islice
 
-    from . import binet, pell
-    from .exactnum import IdentityViolationError
+    import pell3.binet as binet
+    import pell3.exactnum as exactnum
+    import pell3.pell as pell
 
     try:
         point = binet.substitution_chain(args.t)
@@ -189,11 +194,11 @@ def cmd_binet(args) -> int:
         args.parser.error(str(exc))
     try:
         value = binet.binet_eval(args.family, args.n, point)
-    except IdentityViolationError as exc:
+    except exactnum.IdentityViolationError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_IDENTITY_FAILURE
-    h = next(islice(pell.values_at(args.family, point.t), args.n, None))
-    expected = Fraction(h, point.t.denominator**args.n)
+    h = next(itertools.islice(pell.values_at(args.family, point.t), args.n, None))
+    expected = fractions.Fraction(h, point.t.denominator**args.n)
     result = {
         "family": args.family.name,
         "n": args.n,
@@ -394,9 +399,9 @@ def main(argv=None) -> int:
             args = parse_args(argv)  # help and usage errors print here and raise SystemExit
             return args.func(args)
         except Exception as exc:
-            from .exactnum import IdentityViolationError
+            import pell3.exactnum as exactnum
 
-            if isinstance(exc, (IdentityViolationError, BrokenPipeError)):
+            if isinstance(exc, (exactnum.IdentityViolationError, BrokenPipeError)):
                 raise
             # the argv word names the command: args is unbound when parsing raised
             words = sys.argv[1:] if argv is None else argv

@@ -4,8 +4,9 @@ Each suite sweeps an identity over a deterministic grid (index n, seeded
 rational t samples, or both) and hands every verdict to SuiteReport.check,
 the one rule that turns a failed check into a failure entry.  A clean run
 means every checked identity held with no rounding and no tolerance.
-Each suite imports the modules it checks when it runs, so the command
-line's parser, which reads SUITES and the defaults, loads none of them.
+Each suite imports the modules it checks when it runs, by absolute module
+name as the command line does, so the command line's parser, which reads
+SUITES and the defaults, loads none of them.
 """
 
 from __future__ import annotations
@@ -57,19 +58,20 @@ def run_closed_form(max_n: int) -> SuiteReport:
     """Closed form == recurrence for every family over its valid range:
     proved for every n by pell.closed_form_certificate, compared row by row
     up to max_n in y-form, before the injective shift to x both routes share."""
-    from itertools import islice
+    import itertools
 
-    from .exactnum import IdentityViolationError
-    from .pell import FAMILIES, _ratio_row, _rows, closed_form_certificate
+    import pell3.exactnum as exactnum
+    import pell3.pell as pell
 
     report = SuiteReport("closed-form", 0, max_n)
-    for family in FAMILIES.values():
-        for check in closed_form_certificate(family):
+    for family in pell.FAMILIES.values():
+        for check in pell.closed_form_certificate(family):
             report.check(False, f"certificate: {check}", family)
-        for n, row in islice(enumerate(_rows(family)), family.closed_form_min, max_n + 1):
+        rows = enumerate(pell._rows(family))
+        for n, row in itertools.islice(rows, family.closed_form_min, max_n + 1):
             try:
-                cf = _ratio_row(family, n, 1, 1)
-            except IdentityViolationError:
+                cf = pell._ratio_row(family, n, 1, 1)
+            except exactnum.IdentityViolationError:
                 report.check(False, "non-integral closed-form coefficient", family, n=n)
                 continue
             report.check(cf == row, "closed form differs from recurrence", family, n=n)
@@ -82,8 +84,8 @@ def run_binet(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     pass over n for each family and t.  pell.values_at gives p_n's
     z-normalized value as h_n/q^n, so the comparison r/m == h_n/q^n is one
     cross-multiplication of integers."""
-    from . import binet
-    from .pell import FAMILIES, values_at
+    import pell3.binet as binet
+    import pell3.pell as pell
 
     report = SuiteReport("binet", t_samples, max_n)
     report.notes.append(
@@ -93,14 +95,14 @@ def run_binet(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     )
     for point in binet.sample_points(t_samples, seed):
         t, q = point.t, point.t.denominator
-        for family in FAMILIES.values():
+        for family in pell.FAMILIES.values():
             solved = binet.solve_coefficients(family, point)
             printed = binet.closed_form_coefficients(family, point)
             for weight, lhs, rhs in zip("ABC", solved, printed):
                 label = f"solved weight {weight} differs from closed form"
                 report.check(lhs == rhs, label, family, t)
             report.check(solved.has_binet_structure(), "weight structure broken", family, t)
-            values, terms = values_at(family, t), binet.binet_numerators(point, *solved)
+            values, terms = pell.values_at(family, t), binet.binet_numerators(point, *solved)
             q_n = 1
             for n, h, (r, w, m) in zip(range(report.max_n + 1), values, terms):
                 report.check(not w, "W-part nonzero", family, t, n)
@@ -111,7 +113,7 @@ def run_binet(max_n: int, t_samples: int, seed: int) -> SuiteReport:
 
 def run_xi(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Radical cancellation: extension arithmetic vs. binomial double sum."""
-    from . import binet
+    import pell3.binet as binet
 
     report = SuiteReport("xi", t_samples, max_n)
     rows = [binet.radical_binomial_coefficients(n) for n in range(max_n + 1)]
@@ -128,10 +130,8 @@ def run_xi(max_n: int, t_samples: int, seed: int) -> SuiteReport:
 
 def run_roots(max_n: int, t_samples: int, seed: int) -> SuiteReport:
     """Root identities, reciprocity, and power-sum polynomials."""
-    from fractions import Fraction
-
-    from . import binet
-    from .poly import horner_terms
+    import pell3.binet as binet
+    import pell3.poly as poly
 
     report = SuiteReport("roots", t_samples, max_n)
     p_polys, q_polys = binet.power_sums(max_n)
@@ -144,8 +144,8 @@ def run_roots(max_n: int, t_samples: int, seed: int) -> SuiteReport:
             ("w2 + w3 != 1+t", rt.w2 + rt.w3, 1 + t),
             ("w2 * w3 != t^2-1", rt.w2 * rt.w3, t * t - 1),
             ("w1*w2*w3 != -z", rt.w1 * rt.w2 * rt.w3, -point.z),
-            ("v2 + v3 != 1/(t-1)", rt.v2 + rt.v3, Fraction(1) / (t - 1)),
-            ("v2 * v3 != 1/(t^2-1)", rt.v2 * rt.v3, Fraction(1) / (t * t - 1)),
+            ("v2 + v3 != 1/(t-1)", rt.v2 + rt.v3, 1 / (t - 1)),
+            ("v2 * v3 != 1/(t^2-1)", rt.v2 * rt.v3, 1 / (t * t - 1)),
             ("v1 * w1 != 1", rt.v1 * rt.w1, 1),
             ("v2 * w2 != 1", rt.v2 * rt.w2, 1),
             ("v3 * w3 != 1", rt.v3 * rt.w3, 1),
@@ -155,8 +155,8 @@ def run_roots(max_n: int, t_samples: int, seed: int) -> SuiteReport:
         w3_powers = binet.binet_numerators(point, 0, 0, 1)
         p, q = t.numerator, t.denominator
         for n, (r, w, m) in zip(range(max_n + 1), w3_powers):
-            for name, poly, part in (("p_n", p_polys[n], r), ("q_n", q_polys[n], w)):
-                num, den = horner_terms(poly.coeffs, p, q)
+            for name, poly_n, part in (("p_n", p_polys[n], r), ("q_n", q_polys[n], w)):
+                num, den = poly.horner_terms(poly_n.coeffs, p, q)
                 label = f"power-sum {name} differs from extension arithmetic"
                 report.check(num * m == 2 * part * den, label, t=t, n=n)
     return report
@@ -173,30 +173,30 @@ def run_lagrange(order: int) -> SuiteReport:
     identity while the series or the ratios are built is one failure entry,
     and the checks that need them are skipped.
     """
-    from fractions import Fraction
-    from itertools import islice
+    import fractions
+    import itertools
 
-    from . import lagrange
-    from .exactnum import IdentityViolationError
-    from .pell import R, coefficient_triangle
+    import pell3.exactnum as exactnum
+    import pell3.lagrange as lagrange
+    import pell3.pell as pell
 
     def _raised(check, *args) -> str | None:
         """The message of the IdentityViolationError that check(*args)
         raises, or None when it returns."""
         try:
             check(*args)
-        except IdentityViolationError as exc:
+        except exactnum.IdentityViolationError as exc:
             return str(exc)
         return None
 
     report = SuiteReport("lagrange", 0, order)
     error = _raised(lagrange.verify_inversion, order)
     report.check(error is None, f"inversion: {error}", n=order)
-    rows = coefficient_triangle(R, order)
+    rows = pell.coefficient_triangle(pell.R, order)
     expansions = lagrange.first_term_numerators(max(33, (order - 1) // 3 + 1))
     try:
-        series = list(islice(expansions, order + 1))
-    except IdentityViolationError as exc:
+        series = list(itertools.islice(expansions, order + 1))
+    except exactnum.IdentityViolationError as exc:
         report.check(False, f"first-term series: {exc}", n=order)
     else:
         for n in range(min(24, order) + 1):
@@ -208,13 +208,13 @@ def run_lagrange(order: int) -> SuiteReport:
     n = 60
     try:
         ratio, previous = lagrange.radius_estimate(n), lagrange.radius_estimate(n - 1)
-    except IdentityViolationError as exc:
+    except exactnum.IdentityViolationError as exc:
         report.check(False, f"radius ratio: {exc}", n=n)
     else:
-        formula = Fraction(3 * (3 * n - 2) * (3 * n - 4), 16 * n * (2 * n - 1))
+        formula = fractions.Fraction(3 * (3 * n - 2) * (3 * n - 4), 16 * n * (2 * n - 1))
         label = f"radius ratio {ratio} "
         report.check(ratio == formula, label + "differs from 3(3n-2)(3n-4)/(16n(2n-1))", n=n)
-        between = previous < ratio < Fraction(27, 32)
+        between = previous < ratio < fractions.Fraction(27, 32)
         report.check(between, label + "not strictly between u_59/u_58 and 27/32", n=n)
     return report
 

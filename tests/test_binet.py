@@ -49,8 +49,19 @@ class TestSubstitutionChain:
         [(1, "1-t"), (-1, "1+t"), (Fraction(-1, 3), "1+3t"), (Fraction(5, 3), "5-3t")],
     )
     def test_exclusions_name_the_factor(self, t, factor):
-        with pytest.raises(ValueError, match=factor.replace("+", "\\+")):
+        with pytest.raises(ValueError) as raised:
             substitution_chain(t)
+        assert str(raised.value) == f"t={Fraction(t)} makes the factor {factor} vanish"
+
+    def test_integer_build_matches_the_fraction_formulas(self):
+        """z and d, built on p and q, equal (1-t)^2 (1+t) and (1+t)(5-3t)
+        computed in Fraction: every sample t, then large and negative ones."""
+        others = [Fraction(-123, 457), Fraction(10001, 3), Fraction(-(10**30) - 7, 9), 7, -2]
+        assert len(binet.SAMPLE_T) == 90
+        for t in [*sorted(binet.SAMPLE_T), *map(Fraction, others)]:
+            pt = substitution_chain(t)
+            assert (pt.t, pt.z, pt.d) == (t, (1 - t) ** 2 * (1 + t), (1 + t) * (5 - 3 * t))
+            assert all(type(part) is Fraction for part in pt)
 
 
 class TestRoots:

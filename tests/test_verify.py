@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from mutants import moved
 
 from pell3 import binet, lagrange, verify
 from pell3.exactnum import QuadExt
@@ -67,19 +66,6 @@ class TestOnePassXi:
             ref = weight_low * low**n + weight_high * high**n
             assert pair == (ref.a, ref.b)
 
-    test_w_part_mutation_is_caught = moved("W-part-plus-one-xi")
-
-
-class TestBinetSweepPolynomials:
-    test_perturbed_recurrence_row_is_caught = moved("value-at-n-5")
-
-
-class TestClosedFormSweep:
-    """Each closed-form row against the same y-row of one recurrence pass."""
-
-    test_perturbed_recurrence_row_fails_once_per_family = moved("closed-form-row-37")
-    test_non_integral_coefficient_fails_at_its_n_only = moved("non-integral-at-37")
-
 
 class TestRootsSuite:
     def test_builds_each_points_roots_once(self, monkeypatch):
@@ -111,10 +97,3 @@ class TestLagrangeSuite:
         # check_bridge checks its prefix through check_first_term as well
         assert set(seen["check_first_term"]) == set(range(max_n + 1))
         assert seen["check_bridge"] == list(range(1, max_n + 1))
-
-    test_perturbed_triangle_row_fails_the_bridge_once = moved("triangle-row-37")
-    test_radius_ratio_off_its_closed_form_is_reported = moved("radius-ratio-off")
-    test_failures_come_in_check_order = moved("inversion-coefficient-3")
-    test_perturbed_inversion_coefficient_fails_the_first_term_check = moved(
-        "inversion-coefficient-3"
-    )
